@@ -8,7 +8,10 @@
 //   - zero steady-state allocations: after a warmup wave of the same
 //     schedule has sized every pool (buffer pool, coroutine frames, engine
 //     heaps, SPSC spill buffers), the measured wave performs no heap
-//     allocation at all.
+//     allocation at all;
+//   - bounded coroutine work: the 1-thread wave reports frames/event, the
+//     coroutine frames (pooled, so not allocations) created per engine
+//     event. Frame pools are per thread, so only a 1-thread run sees all.
 //
 // The default configuration is a radix-16, 1:1 fat tree — 1024 hosts, 320
 // switches, 128 ECMP-balanced core paths per cross-pod pair — with 128
@@ -19,7 +22,7 @@
 //
 // Writes BENCH_fabric.json (gated by scripts/bench_check.py
 // --fabric-binary): per-thread-count events/sec + allocs/event + digest,
-// plus per-layer p50/p99/p999 from the 1-thread run.
+// plus frames/event and per-layer p50/p99/p999 from the 1-thread run.
 //
 // Usage: fabric_scale [--hosts N] [--oversub O] [--flows-per-host F]
 //                     [--rate R] [--shards S] [--threads 1,2,4]
@@ -38,6 +41,7 @@
 #include "bench_util.hpp"
 #include "myrinet/parallel_cluster.hpp"
 #include "myrinet/topo.hpp"
+#include "sim/frame_pool.hpp"
 #include "workload/traffic_engine.hpp"
 
 using namespace fmx;
@@ -106,6 +110,7 @@ struct Measured {
   workload::WaveResult wave;
   double wall_s = 0;
   std::uint64_t allocs = 0;
+  std::uint64_t frames = 0;  // this thread's frames: all of them at 1 thread
 };
 
 Measured run_at(const Args& a, const workload::Schedule& sched,
@@ -132,11 +137,13 @@ Measured run_at(const Args& a, const workload::Schedule& sched,
 
   Measured m;
   bench::alloc_hook_reset();
+  const std::uint64_t frames0 = sim::frame_pool_stats().allocs;
   const auto t0 = Clock::now();
   te.spawn_wave(sched);
   auto run = cl.run(threads);
   const auto t1 = Clock::now();
   m.allocs = bench::alloc_hook_count();
+  m.frames = sim::frame_pool_stats().allocs - frames0;
   m.wave = te.collect_wave(sched, run);
   m.wall_s = std::chrono::duration<double>(t1 - t0).count();
   return m;
@@ -168,6 +175,7 @@ int main(int argc, char** argv) {
       cfg.sizes.mean(), a.rate, a.shards);
 
   std::vector<Measured> runs;
+  double frames_per_event = -1;  // < 0: no 1-thread run requested
   bool digest_ok = true;
   for (int t : a.threads) {
     Measured m = run_at(a, sched, cfg, t);
@@ -176,6 +184,10 @@ int main(int argc, char** argv) {
     }
     if (m.wave.completed != sched.total_flows || m.wave.pending_roots != 0) {
       digest_ok = false;  // an incomplete wave is never acceptable
+    }
+    if (t == 1) {
+      frames_per_event = static_cast<double>(m.frames) / m.wave.events;
+      std::printf("  1 thread     %.3f frames/event\n", frames_per_event);
     }
     std::printf(
         "  %d thread(s)  %9.3g events/sec  (%llu events, %.3f s, "
@@ -232,6 +244,9 @@ int main(int argc, char** argv) {
                sim::to_us(ref.wave.makespan),
                std::thread::hardware_concurrency(),
                bench::cpu_model().c_str());
+  if (frames_per_event >= 0) {
+    std::fprintf(f, "  \"frames_per_event\": %.4f,\n", frames_per_event);
+  }
   std::fprintf(f, "  \"threads\": [\n");
   for (std::size_t k = 0; k < runs.size(); ++k) {
     const Measured& m = runs[k];

@@ -49,6 +49,9 @@ datacenter-scale traffic engine invariants:
   - steady-state allocs/event is pinned at exactly --fabric-max-allocs
     (default 0): the measured wave replays a schedule the warmup wave
     already sized every pool for,
+  - coroutine frames created per engine event in the 1-thread wave must
+    be at most 3: FM_extract's credit return visits only the peers owed
+    credits, so frames/event must not grow with the cluster size,
   - every reported latency layer (src_queue/transit/deliver/handler/e2e)
     must carry observations and finite p50/p99/p999 — a NaN/missing tail
     means the histogram plumbing broke, which digests alone cannot see.
@@ -101,6 +104,8 @@ import subprocess
 import sys
 import tempfile
 
+# Coroutine frames per engine event allowed in the 1-thread fabric wave.
+FABRIC_MAX_FRAMES = 3.0
 
 def _run_to_json(cmd):
     """Run a bench writing its JSON artifact; return the parsed dict."""
@@ -357,6 +362,20 @@ def check_fabric(args) -> bool:
                   f"the fabric traffic wave at {row['threads']} threads "
                   f"(must be exactly {args.fabric_max_allocs:g})",
                   file=sys.stderr)
+            ok = False
+
+    frames = cur.get("frames_per_event")
+    if frames is None:
+        print("bench_check: REGRESSION: fabric report has no "
+              "frames_per_event (the 1-thread wave must report it)",
+              file=sys.stderr)
+        ok = False
+    else:
+        print(f"bench_check: fabric 1t frames/event {frames:.3f}")
+        if frames > FABRIC_MAX_FRAMES:
+            print(f"bench_check: REGRESSION: {frames:.3f} coroutine frames "
+                  f"per event in the 1-thread fabric wave (max "
+                  f"{FABRIC_MAX_FRAMES:g})", file=sys.stderr)
             ok = False
 
     total = cur.get("total_flows", 0)

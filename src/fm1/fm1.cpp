@@ -41,7 +41,7 @@ Endpoint::Endpoint(net::Cluster& cluster, int node_id, Config cfg)
     cfg_.credit_return_threshold = std::max(1, cfg_.credits_per_peer / 2);
   }
   credits_.assign(n_hosts_, cfg_.credits_per_peer);
-  freed_.assign(n_hosts_, 0);
+  owed_.reset(n_hosts_, cfg_.credit_return_threshold);
   next_msg_seq_.assign(n_hosts_, 0);
 
   // Publish this endpoint's live counters; a later endpoint on the same
@@ -60,12 +60,6 @@ void Endpoint::register_handler(HandlerId id, Handler h) {
   handlers_.at(id) = std::move(h);
 }
 
-std::uint16_t Endpoint::take_piggyback(int dest) {
-  int v = std::min(freed_[dest], 0xFFFF);
-  freed_[dest] -= v;
-  return static_cast<std::uint16_t>(v);
-}
-
 sim::Task<void> Endpoint::send_packet(int dest, PacketType type,
                                       HandlerId handler,
                                       std::uint32_t msg_bytes,
@@ -76,7 +70,7 @@ sim::Task<void> Endpoint::send_packet(int dest, PacketType type,
   h.handler = handler;
   h.msg_bytes = msg_bytes;
   h.pkt_index = pkt_index;
-  h.credits = take_piggyback(dest);
+  h.credits = owed_.take(dest);
   h.msg_seq = msg_seq;
 
   const std::uint64_t tid =
@@ -158,7 +152,7 @@ sim::Task<void> Endpoint::acquire_credit(int dest) {
             "FM1: host-side pending buffer overflow (flow control breach)");
       }
       host.charge(Cost::kBufferMgmt, kPerPacketBookkeeping);
-      slot_freed(p->src);
+      owed_.slot_freed(p->src);
       pending_.push_back(std::move(*p));
     }
     if (drained > 0) node_.nic().host_ring().poke();
@@ -212,16 +206,11 @@ sim::Task<void> Endpoint::send4(int dest, HandlerId handler, std::uint32_t i0,
                        ByteSpan{reinterpret_cast<const std::byte*>(words), 16});
 }
 
-void Endpoint::slot_freed(int src) { ++freed_[src]; }
-
-sim::Task<void> Endpoint::maybe_return_credits(int dest) {
-  if (freed_[dest] < cfg_.credit_return_threshold) co_return;
-  std::uint16_t give = take_piggyback(dest);
-  if (give == 0) co_return;
+sim::Task<void> Endpoint::return_credits(int dest) {
   ++stats_.credit_packets_sent;
   PacketHeader h;
   h.type = static_cast<std::uint16_t>(PacketType::kCredit);
-  h.credits = give;
+  h.credits = owed_.take(dest);
   bool fresh = false;
   BufferRef pkt = pool().acquire_ref(sizeof(PacketHeader), &fresh);
   auto& host = node_.host();
@@ -309,7 +298,7 @@ void Endpoint::process_packet(net::RxPacket&& pkt, int* completed) {
   }
   ByteSpan chunk = pkt.payload.span().subspan(sizeof(PacketHeader));
   deliver_data(pkt.src, h, chunk, completed);
-  slot_freed(pkt.src);
+  owed_.slot_freed(pkt.src);
 }
 
 sim::Task<int> Endpoint::extract() {
@@ -336,15 +325,16 @@ sim::Task<int> Endpoint::extract() {
                     static_cast<std::uint64_t>(completed));
   }
   co_await host.sync();
-  for (int peer = 0; peer < n_hosts_; ++peer) {
-    co_await maybe_return_credits(peer);
+  // Only peers owed a credit packet are visited (see fm2::Endpoint::extract).
+  for (int p = owed_.next_owed(0); p >= 0; p = owed_.next_owed(p + 1)) {
+    co_await return_credits(p);
   }
   co_return completed;
 }
 
 void Endpoint::kick() { node_.nic().host_ring().poke(); }
 
-sim::Task<void> Endpoint::poll_until(const std::function<bool()>& done) {
+sim::Task<void> Endpoint::poll_until(sim::Predicate done) {
   auto& host = node_.host();
   while (!done()) {
     (void)co_await extract();

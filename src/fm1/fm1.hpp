@@ -20,8 +20,10 @@
 
 #include "common/buffer.hpp"
 #include "common/buffer_pool.hpp"
+#include "common/credit_return.hpp"
 #include "common/fmwire.hpp"
 #include "myrinet/node.hpp"
+#include "sim/predicate.hpp"
 #include "sim/ring.hpp"
 #include "sim/sync.hpp"
 
@@ -70,7 +72,7 @@ class Endpoint {
 
   /// Poll extract() until `done` returns true (convenience for programs
   /// that would spin on the network).
-  sim::Task<void> poll_until(const std::function<bool()>& done);
+  sim::Task<void> poll_until(sim::Predicate done);
   /// Wake a sleeping poll_until so it re-checks its condition.
   void kick();
 
@@ -99,7 +101,7 @@ class Endpoint {
   /// Effective configuration after constructor defaulting.
   const Config& config() const noexcept { return cfg_; }
   /// Receive slots freed locally but not yet returned to `src` as credits.
-  int credits_pending_return(int src) const { return freed_[src]; }
+  int credits_pending_return(int src) const { return owed_.pending(src); }
   /// Packets parked host-side while a blocked sender hunted for credits.
   std::size_t parked_packets() const noexcept { return pending_.size(); }
   /// Multi-packet messages currently mid-reassembly.
@@ -120,9 +122,9 @@ class Endpoint {
   void process_packet(net::RxPacket&& pkt, int* completed);
   void deliver_data(int src, const PacketHeader& h, ByteSpan chunk,
                     int* completed);
-  std::uint16_t take_piggyback(int dest);
-  void slot_freed(int src);
-  sim::Task<void> maybe_return_credits(int dest);
+  /// Send `dest` an explicit credit packet (it is owed at least the
+  /// return threshold).
+  sim::Task<void> return_credits(int dest);
   /// Cluster-wide packet-buffer pool (owned by the fabric).
   BufferPool& pool() noexcept { return cluster_.fabric().pool(); }
 
@@ -133,7 +135,7 @@ class Endpoint {
   std::size_t seg_;  // payload bytes per packet
   std::vector<Handler> handlers_;
   std::vector<int> credits_;        // send credits toward each peer
-  std::vector<int> freed_;          // receive slots freed, owed to peer
+  CreditReturn owed_;               // receive slots freed, owed to peer
   std::vector<std::uint32_t> next_msg_seq_;
   std::unordered_map<std::uint64_t, Partial> partials_;  // key: src<<32|seq
   sim::RingQueue<net::RxPacket> pending_;  // parked while hunting for credits

@@ -47,7 +47,7 @@ void RecvStream::feed(net::RxPacket pkt) {
   fed_ += data;
   if (data == 0) {
     pkt.payload.reset();
-    ep_->slot_freed(src_);  // header-only packet: slot free immediately
+    ep_->owed_.slot_freed(src_);  // header-only packet: slot free immediately
     return;
   }
   // Scatter entry point: drop the header by sub-slicing, not by copying —
@@ -81,7 +81,7 @@ bool RecvStream::try_fulfill() {
       front.payload.reset();  // last reference returns the block
       q_.pop_front();
       head_off_ = 0;
-      ep_->slot_freed(src_);  // packet fully consumed: credit goes home
+      ep_->owed_.slot_freed(src_);  // packet fully consumed: credit goes home
     }
   }
   return r.got == r.want;
@@ -98,7 +98,7 @@ void RecvStream::discard_all_queued() {
     front.payload.reset();
     q_.pop_front();
     head_off_ = 0;
-    ep_->slot_freed(src_);
+    ep_->owed_.slot_freed(src_);
   }
 }
 
@@ -127,7 +127,7 @@ Endpoint::Endpoint(net::Node& node, net::Fabric& fabric, Config cfg)
     cfg_.credit_return_threshold = std::max(1, cfg_.credits_per_peer / 2);
   }
   credits_.assign(n_hosts_, cfg_.credits_per_peer);
-  freed_.assign(n_hosts_, 0);
+  owed_.reset(n_hosts_, cfg_.credit_return_threshold);
   next_msg_seq_.assign(n_hosts_, 0);
   src_state_.resize(n_hosts_);
 
@@ -157,12 +157,6 @@ std::size_t Endpoint::active_handlers() const {
     }
   }
   return n;
-}
-
-std::uint16_t Endpoint::take_piggyback(int dest) {
-  int v = std::min(freed_[dest], 0xFFFF);
-  freed_[dest] -= v;
-  return static_cast<std::uint16_t>(v);
 }
 
 sim::Task<SendStream> Endpoint::begin_message(int dest, std::size_t size,
@@ -228,7 +222,7 @@ sim::Task<void> Endpoint::flush_packet(SendStream& s, bool last) {
   h.handler = s.handler_;
   h.msg_bytes = s.total_;
   h.pkt_index = s.pkt_index_++;
-  h.credits = take_piggyback(s.dest_);
+  h.credits = owed_.take(s.dest_);
   h.msg_seq = s.seq_;
   s.pkt_.set_size(kHdr + s.fill_);
   wire::store_header(s.pkt_.mutable_bytes(), h);
@@ -302,14 +296,11 @@ sim::Task<void> Endpoint::acquire_credit(int dest) {
   }
 }
 
-sim::Task<void> Endpoint::maybe_return_credits(int dest) {
-  if (freed_[dest] < cfg_.credit_return_threshold) co_return;
-  std::uint16_t give = take_piggyback(dest);
-  if (give == 0) co_return;
+sim::Task<void> Endpoint::return_credits(int dest) {
   ++stats_.credit_packets_sent;
   PacketHeader h;
   h.type = static_cast<std::uint16_t>(PacketType::kCredit);
-  h.credits = give;
+  h.credits = owed_.take(dest);
   auto& host = node_.host();
   bool fresh = false;
   BufferRef pkt = pool().acquire_ref(kHdr, &fresh);
@@ -496,8 +487,11 @@ sim::Task<int> Endpoint::extract(std::size_t budget) {
   }
 
   co_await host.sync();
-  for (int peer = 0; peer < n_hosts_; ++peer) {
-    co_await maybe_return_credits(peer);
+  // Only peers owed a credit packet are visited. A peer that is not owed
+  // would have charged nothing and scheduled nothing, so skipping it leaves
+  // simulated time untouched.
+  for (int p = owed_.next_owed(0); p >= 0; p = owed_.next_owed(p + 1)) {
+    co_await return_credits(p);
   }
   while (!deferred_.empty()) {
     auto op = deferred_.take_front();
@@ -650,7 +644,7 @@ sim::Task<void> Endpoint::coll_allreduce(std::uint32_t group,
   co_await coll_run(group, std::move(s));
 }
 
-sim::Task<void> Endpoint::poll_until(const std::function<bool()>& done) {
+sim::Task<void> Endpoint::poll_until(sim::Predicate done) {
   auto& host = node_.host();
   while (!done()) {
     (void)co_await extract();

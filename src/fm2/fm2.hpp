@@ -24,9 +24,11 @@
 
 #include "common/buffer.hpp"
 #include "common/buffer_pool.hpp"
+#include "common/credit_return.hpp"
 #include "common/fmwire.hpp"
 #include "myrinet/node.hpp"
 #include "sim/frame_pool.hpp"
+#include "sim/predicate.hpp"
 #include "sim/ring.hpp"
 #include "sim/sync.hpp"
 
@@ -294,7 +296,7 @@ class Endpoint {
                                  CollRed red);
 
   /// Poll extract() until `done` returns true.
-  sim::Task<void> poll_until(const std::function<bool()>& done);
+  sim::Task<void> poll_until(sim::Predicate done);
   /// Sleep until there is something to extract (unless data is already
   /// waiting in the ring or parked host-side).
   sim::Task<void> wait_for_traffic();
@@ -339,7 +341,7 @@ class Endpoint {
   /// Effective configuration after constructor defaulting.
   const Config& config() const noexcept { return cfg_; }
   /// Receive slots freed locally but not yet returned to `src` as credits.
-  int credits_pending_return(int src) const { return freed_[src]; }
+  int credits_pending_return(int src) const { return owed_.pending(src); }
   /// Packets parked host-side while a blocked sender hunted for credits.
   std::size_t parked_packets() const noexcept { return pending_.size(); }
   /// Packets of future messages waiting behind an unfinished one.
@@ -382,9 +384,9 @@ class Endpoint {
   BufferRef stage_contrib(ByteSpan src);
   sim::Task<void> coll_run(std::uint32_t group, net::Nic::CollSubmit s);
   sim::Task<void> acquire_credit(int dest);
-  std::uint16_t take_piggyback(int dest);
-  void slot_freed(int src) { ++freed_[src]; }
-  sim::Task<void> maybe_return_credits(int dest);
+  /// Send `dest` an explicit credit packet (it is owed at least the
+  /// return threshold).
+  sim::Task<void> return_credits(int dest);
   /// Cluster-wide packet-buffer pool (owned by the fabric).
   BufferPool& pool() noexcept { return fabric_.pool(); }
 
@@ -401,7 +403,7 @@ class Endpoint {
   std::size_t seg_;
   std::vector<HandlerFn> handlers_;
   std::vector<int> credits_;
-  std::vector<int> freed_;
+  CreditReturn owed_;  // freed receive slots not yet credited back
   std::vector<std::uint32_t> next_msg_seq_;
   std::vector<SrcState> src_state_;
   sim::RingQueue<net::RxPacket> pending_;  // parked while hunting for credits

@@ -241,7 +241,6 @@ ParallelCluster::ParallelCluster(const ClusterParams& p, int n_shards)
     par_.set_drain(s, [this, s] { drain_into(s); });
     par_.set_emission_bound(
         s, [this, s](sim::Ps e, sim::Ps* out) { emission_bound(s, e, out); });
-    par_.set_inbox_empty(s, [this, s] { return inbox_empty(s); });
     // Minimum reaction time of a shard to an inbound packet: every causal
     // response flows through Nic::rx_wire_program, which charges
     // per_packet_rx before anything downstream can observe the packet. In
@@ -346,19 +345,6 @@ void ParallelCluster::emission_bound(int shard, sim::Ps e,
       if (v < out[d]) out[d] = v;
     }
   }
-}
-
-// Termination-sweep predicate: nothing published to this shard is still
-// undrained. Runs with every worker parked (ParallelEngine guarantees
-// exclusivity through its idle mutex), so ring indices are quiescent.
-bool ParallelCluster::inbox_empty(int shard) const {
-  for (int s = 0; s < n_shards_; ++s) {
-    if (s == shard) continue;
-    const Ring& r = *rings_[s * n_shards_ + shard];
-    if (!r.ring.empty()) return false;
-    if (r.spilled.load(std::memory_order_acquire) != 0) return false;
-  }
-  return true;
 }
 
 ParallelCluster::RunResult ParallelCluster::run(int n_threads) {

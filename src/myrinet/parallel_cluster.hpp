@@ -150,7 +150,6 @@ class ParallelCluster {
   }
   void drain_into(int dst_shard);
   void emission_bound(int shard, sim::Ps e, sim::Ps* out) const;
-  bool inbox_empty(int shard) const;
   void expose_metrics();
 
   ClusterParams params_;

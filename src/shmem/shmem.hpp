@@ -44,7 +44,7 @@ class ShmemCtx {
   sim::Task<void> accumulate(int pe, std::size_t dst_off,
                              std::span<const double> src);
   /// Drive progress (targets must poll, as in FM-based shmem).
-  sim::Task<void> poll_until(const std::function<bool()>& done) {
+  sim::Task<void> poll_until(sim::Predicate done) {
     return ep_.poll_until(done);
   }
   /// Wake a sleeping poll_until (termination nudge for SPMD servers).

@@ -64,7 +64,6 @@ ParallelEngine::ParallelEngine(int n_shards, std::vector<Ps> lookahead)
   }
   drains_.resize(k);
   emission_bounds_.resize(k);
-  inbox_empty_.resize(k);
 
   // One cache line holds 8 Ps atomics; pad rows so each shard's row (its
   // only cross-thread write target) never shares a line with another's.
@@ -91,10 +90,6 @@ void ParallelEngine::set_drain(int shard, std::function<void()> fn) {
 void ParallelEngine::set_emission_bound(int shard,
                                         std::function<void(Ps, Ps*)> fn) {
   emission_bounds_[shard] = std::move(fn);
-}
-
-void ParallelEngine::set_inbox_empty(int shard, std::function<bool()> fn) {
-  inbox_empty_[shard] = std::move(fn);
 }
 
 void ParallelEngine::note_emission(int src, int dst, Ps head) {
@@ -257,9 +252,14 @@ bool ParallelEngine::advance(int s, int w, std::uint64_t& events,
 // foreign engine state are race-free (and TSan-visibly so, through the
 // mutex).
 bool ParallelEngine::quiescent() const {
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
+  const std::size_t k = shards_.size();
+  for (std::size_t s = 0; s < k; ++s) {
     if (!shards_[s]->idle()) return false;
-    if (inbox_empty_[s] && !inbox_empty_[s]()) return false;
+    // Every message s emitted must have been drained into its destination:
+    // an idle engine with a message still in its inbound ring is not done.
+    for (std::size_t d = 0; d < k; ++d) {
+      if (out_[s * k + d].pushed != staged_[d * k + s]) return false;
+    }
   }
   return true;
 }

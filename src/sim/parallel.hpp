@@ -49,7 +49,8 @@
 // bound >= m + min L > m, so a full pass over all shards either executes
 // at least one event or proves global quiescence. Stalled workers spin,
 // then yield, then park on a condvar; the last parker performs an
-// exclusive termination sweep (all engines idle, all inboxes empty).
+// exclusive termination sweep (all engines idle, and every noted emission
+// drained).
 //
 // Determinism: cross-shard events order by explicit keys in a sequence
 // band above all local events (Engine::kCrossSeqBand), so per-shard pop
@@ -114,11 +115,6 @@ class ParallelEngine {
   /// latency)`). Runs on the shard's owning worker only.
   void set_emission_bound(int shard, std::function<void(Ps, Ps*)> fn);
 
-  /// Install the inbox-emptiness predicate used by the termination sweep
-  /// (may be called from any worker while all others are parked). Default:
-  /// always empty.
-  void set_inbox_empty(int shard, std::function<bool()> fn);
-
   /// Declare a lower bound on how long `shard` takes to *react* to an
   /// inbound cross-shard message with a cross-shard emission of its own
   /// (for the Myrinet cluster: receive-side per-packet processing, plus a
@@ -134,12 +130,12 @@ class ParallelEngine {
 
   /// Record a cross-shard emission src -> dst whose head-arrival time is
   /// `head`. Must be called on src's owning worker, inside the event that
-  /// pushes the message (after the ring commit). Required for soundness
-  /// whenever a peer can react to this shard's traffic within the same
-  /// run: the emission opens an in-flight bucket that caps the emitter's
-  /// own horizon (self-echo, including the quantum in progress) and is
-  /// folded into its published row (relay coverage) until the
-  /// destination's covering publish retires it — see note_drained.
+  /// pushes the message (after the ring commit), for every message pushed.
+  /// The emission opens an in-flight bucket that caps the emitter's own
+  /// horizon (self-echo, including the quantum in progress) and is folded
+  /// into its published row (relay coverage) until the destination's
+  /// covering publish retires it — see note_drained. The termination sweep
+  /// also counts it: the run cannot end while a noted message is undrained.
   void note_emission(int src, int dst, Ps head);
 
   /// Record, from inside dst's drain hook, that `n` more messages from
@@ -192,7 +188,6 @@ class ParallelEngine {
   std::vector<std::unique_ptr<Engine>> shards_;
   std::vector<std::function<void()>> drains_;
   std::vector<std::function<void(Ps, Ps*)>> emission_bounds_;
-  std::vector<std::function<bool()>> inbox_empty_;
   bool batching_ = true;
 
   // Published horizons: row s (written only by s's owner) holds pub[s][d]

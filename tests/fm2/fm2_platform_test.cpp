@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <ostream>
 
 #include "fm1/fm1.hpp"
 #include "fm2/fm2.hpp"
@@ -18,6 +19,11 @@ struct PlatformCase {
   const char* name;
   net::ClusterParams (*make)();
 };
+
+// Print a case by name: gtest's default byte dump would show the two
+// pointers, which change from run to run under ASLR and make the listed
+// test names unstable.
+void PrintTo(const PlatformCase& c, std::ostream* os) { *os << c.name; }
 
 net::ClusterParams odd_platform() {
   auto p = net::ppro_fm2_cluster(2);
