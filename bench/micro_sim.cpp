@@ -60,8 +60,20 @@ void BM_Crc32(benchmark::State& state) {
 }
 BENCHMARK(BM_Crc32)->Arg(64)->Arg(1024)->Arg(16384);
 
-// The reference bytewise CRC, kept as the baseline the slice-by-8 fast path
-// in crc32.cpp is measured against (and as its correctness oracle).
+// The portable slice-by-8 path on its own: what crc32_update runs on CPUs
+// without PCLMULQDQ. BM_Crc32 over this is the kernel's speedup.
+void BM_Crc32Slice8(benchmark::State& state) {
+  Bytes data = pattern_bytes(1, state.range(0));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        detail::crc32_update_slice8(0xFFFFFFFFu, ByteSpan{data}));
+  }
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_Crc32Slice8)->Arg(64)->Arg(1024)->Arg(16384);
+
+// The reference bytewise CRC, kept as the baseline both fast paths in
+// crc32.cpp are measured against (and as their correctness oracle).
 void BM_Crc32Bytewise(benchmark::State& state) {
   Bytes data = pattern_bytes(1, state.range(0));
   for (auto _ : state) {

@@ -12,11 +12,11 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 
 #include "common/buffer.hpp"
 #include "mpi/match.hpp"
+#include "sim/predicate.hpp"
 #include "sim/task.hpp"
 #include "sim/time.hpp"
 
@@ -103,8 +103,10 @@ class Comm {
   virtual sim::Task<void> do_send(ByteSpan data, int dst, int tag) = 0;
   virtual sim::Task<Request> do_post_recv(MutByteSpan buf, int src,
                                           int tag) = 0;
-  /// Drive FM extraction until the predicate holds.
-  virtual sim::Task<void> progress_until(std::function<bool()> done) = 0;
+  /// Drive FM extraction until the predicate holds. `done` is non-owning:
+  /// callers pass a lambda inside the awaited full-expression
+  /// (`co_await progress_until([&] { ... })`), which outlives the wait.
+  virtual sim::Task<void> progress_until(sim::Predicate done) = 0;
   /// One nonblocking extraction round (for test()).
   virtual sim::Task<void> progress_once() = 0;
   /// Envelope of the first matching unexpected arrival, if any (probe).

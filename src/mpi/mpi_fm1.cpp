@@ -111,7 +111,7 @@ sim::Task<Request> MpiFm1::do_post_recv(MutByteSpan buf, int src, int tag) {
   co_return Request(st);
 }
 
-sim::Task<void> MpiFm1::progress_until(std::function<bool()> done) {
+sim::Task<void> MpiFm1::progress_until(sim::Predicate done) {
   co_await fm_.poll_until(done);
 }
 

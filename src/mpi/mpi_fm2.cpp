@@ -365,7 +365,7 @@ sim::Task<Request> MpiFm2::do_post_recv(MutByteSpan buf, int src, int tag) {
   co_return Request(st);
 }
 
-sim::Task<void> MpiFm2::progress_until(std::function<bool()> done) {
+sim::Task<void> MpiFm2::progress_until(sim::Predicate done) {
   auto& host = fm_.host();
   std::size_t budget =
       extract_budget_ == 0 ? fm2::Endpoint::kNoLimit : extract_budget_;

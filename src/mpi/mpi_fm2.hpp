@@ -83,7 +83,7 @@ class MpiFm2 : public Comm {
   sim::Task<void> do_send(ByteSpan data, int dst, int tag) override;
   sim::Task<Request> do_post_recv(MutByteSpan buf, int src,
                                   int tag) override;
-  sim::Task<void> progress_until(std::function<bool()> done) override;
+  sim::Task<void> progress_until(sim::Predicate done) override;
   sim::Task<void> progress_once() override;
   std::optional<Status> peek_unexpected(int src, int tag) override;
 

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
 #include <string_view>
+#include <vector>
 
 #include "common/buffer.hpp"
 
@@ -101,6 +103,90 @@ TEST_P(Crc32Param, SplitInvariance) {
 
 INSTANTIATE_TEST_SUITE_P(Splits, Crc32Param,
                          ::testing::Values(0, 1, 7, 64, 255, 256, 511, 512));
+
+// crc32_update folds inputs of 64 bytes and more with carry-less multiplies
+// where the CPU has them (16-byte blocks, four 16-byte lanes per 64 bytes)
+// and leaves the tail to slice-by-8. The sweeps below cover every fold
+// count, every tail length and every alignment against the bytewise
+// reference, from the standard initial state, zero and an arbitrary one.
+constexpr std::uint32_t kStates[] = {0xFFFFFFFFu, 0u, 0x9E3779B9u};
+
+// ref[n] is the bytewise state after the first n bytes of data.
+std::vector<std::uint32_t> bytewise_prefixes(std::uint32_t state,
+                                             ByteSpan data) {
+  std::vector<std::uint32_t> ref{state};
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    ref.push_back(detail::crc32_update_bytewise(ref.back(),
+                                                data.subspan(i, 1)));
+  }
+  return ref;
+}
+
+TEST(Crc32Kernel, MatchesBytewiseAtEveryLengthOffsetAndState) {
+  constexpr std::size_t kMaxLen = 4096;
+  const Bytes data = pattern_bytes(5, kMaxLen + 16);
+  for (std::uint32_t state : kStates) {
+    for (std::size_t off = 0; off < 16; ++off) {
+      const ByteSpan buf = ByteSpan{data}.subspan(off, kMaxLen);
+      const auto ref = bytewise_prefixes(state, buf);
+      for (std::size_t n = 0; n <= kMaxLen; ++n) {
+        ASSERT_EQ(crc32_update(state, buf.first(n)), ref[n])
+            << "len " << n << " offset " << off << " state " << state;
+      }
+    }
+  }
+}
+
+TEST(Crc32Kernel, MatchesBytewiseOnLargeBuffers) {
+  const Bytes data = pattern_bytes(6, (1u << 20) + 16);
+  for (std::size_t len : {std::size_t{64} << 10, std::size_t{1} << 20}) {
+    for (std::size_t off : {0, 1, 8, 15}) {
+      const ByteSpan buf = ByteSpan{data}.subspan(off, len);
+      for (std::uint32_t state : kStates) {
+        EXPECT_EQ(crc32_update(state, buf),
+                  detail::crc32_update_bytewise(state, buf))
+            << "len " << len << " offset " << off << " state " << state;
+      }
+    }
+  }
+}
+
+TEST(Crc32Kernel, SplitAnywhereAcrossFoldBoundaries) {
+  // Every two-cut split of 200 bytes: chunks land on both sides of the
+  // 64-byte kernel threshold and of every 16-byte block edge.
+  constexpr std::size_t kLen = 200;
+  const Bytes data = pattern_bytes(8, kLen);
+  const ByteSpan all{data};
+  const std::uint32_t whole = crc32(all);
+  for (std::size_t a = 0; a <= kLen; ++a) {
+    for (std::size_t b = a; b <= kLen; ++b) {
+      std::uint32_t st = crc32_update(crc32_init(), all.subspan(0, a));
+      st = crc32_update(st, all.subspan(a, b - a));
+      st = crc32_update(st, all.subspan(b));
+      ASSERT_EQ(crc32_final(st), whole) << "cuts at " << a << ", " << b;
+    }
+  }
+}
+
+TEST(Crc32Kernel, SliceBy8FallbackMatchesBytewise) {
+  // The portable path, called directly so it stays covered on hosts where
+  // crc32_update takes the carry-less-multiply kernel.
+  EXPECT_EQ(crc32_final(detail::crc32_update_slice8(crc32_init(),
+                                                    span_of("123456789"))),
+            0xCBF43926u);
+  constexpr std::size_t kMaxLen = 1024;
+  const Bytes data = pattern_bytes(9, kMaxLen + 8);
+  for (std::uint32_t state : kStates) {
+    for (std::size_t off = 0; off < 8; ++off) {
+      const ByteSpan buf = ByteSpan{data}.subspan(off, kMaxLen);
+      const auto ref = bytewise_prefixes(state, buf);
+      for (std::size_t n = 0; n <= kMaxLen; ++n) {
+        ASSERT_EQ(detail::crc32_update_slice8(state, buf.first(n)), ref[n])
+            << "len " << n << " offset " << off << " state " << state;
+      }
+    }
+  }
+}
 
 }  // namespace
 }  // namespace fmx
