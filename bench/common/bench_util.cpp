@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstring>
 
+#include "myrinet/parallel_cluster.hpp"
 #include "sim/engine.hpp"
 
 namespace fmx::bench {
@@ -14,10 +15,10 @@ using sim::Task;
 
 Measurement fm1_bandwidth(const net::ClusterParams& cp, std::size_t msg_size,
                           int n_msgs, fm1::Config cfg) {
-  Engine eng;
-  net::Cluster cluster(eng, cp);
-  fm1::Endpoint tx(cluster, 0, cfg);
-  fm1::Endpoint rx(cluster, 1, cfg);
+  net::ParallelCluster cluster(cp);
+  Engine& eng = cluster.shard_engine(0);
+  fm1::Endpoint tx(cluster.node(0), cluster.fabric_of(0), cfg);
+  fm1::Endpoint rx(cluster.node(1), cluster.fabric_of(1), cfg);
   int got = 0;
   rx.register_handler(0, [&](int, ByteSpan) { ++got; });
 
@@ -47,10 +48,10 @@ Measurement fm1_bandwidth(const net::ClusterParams& cp, std::size_t msg_size,
 
 double fm1_latency_us(const net::ClusterParams& cp, std::size_t msg_size,
                       int rounds, fm1::Config cfg) {
-  Engine eng;
-  net::Cluster cluster(eng, cp);
-  fm1::Endpoint a(cluster, 0, cfg);
-  fm1::Endpoint b(cluster, 1, cfg);
+  net::ParallelCluster cluster(cp);
+  Engine& eng = cluster.shard_engine(0);
+  fm1::Endpoint a(cluster.node(0), cluster.fabric_of(0), cfg);
+  fm1::Endpoint b(cluster.node(1), cluster.fabric_of(1), cfg);
   int got_a = 0, got_b = 0;
   a.register_handler(0, [&](int, ByteSpan) { ++got_a; });
   b.register_handler(0, [&](int, ByteSpan) { ++got_b; });
@@ -78,10 +79,10 @@ double fm1_latency_us(const net::ClusterParams& cp, std::size_t msg_size,
 
 Measurement fm2_bandwidth(const net::ClusterParams& cp, std::size_t msg_size,
                           int n_msgs, fm2::Config cfg) {
-  Engine eng;
-  net::Cluster cluster(eng, cp);
-  fm2::Endpoint tx(cluster, 0, cfg);
-  fm2::Endpoint rx(cluster, 1, cfg);
+  net::ParallelCluster cluster(cp);
+  Engine& eng = cluster.shard_engine(0);
+  fm2::Endpoint tx(cluster.node(0), cluster.fabric_of(0), cfg);
+  fm2::Endpoint rx(cluster.node(1), cluster.fabric_of(1), cfg);
   int got = 0;
   Bytes sink(std::max<std::size_t>(msg_size, 1));
   rx.register_handler(0, [&](fm2::RecvStream& s, int) -> fm2::HandlerTask {
@@ -115,10 +116,10 @@ Measurement fm2_bandwidth(const net::ClusterParams& cp, std::size_t msg_size,
 
 double fm2_latency_us(const net::ClusterParams& cp, std::size_t msg_size,
                       int rounds, fm2::Config cfg) {
-  Engine eng;
-  net::Cluster cluster(eng, cp);
-  fm2::Endpoint a(cluster, 0, cfg);
-  fm2::Endpoint b(cluster, 1, cfg);
+  net::ParallelCluster cluster(cp);
+  Engine& eng = cluster.shard_engine(0);
+  fm2::Endpoint a(cluster.node(0), cluster.fabric_of(0), cfg);
+  fm2::Endpoint b(cluster.node(1), cluster.fabric_of(1), cfg);
   int got_a = 0, got_b = 0;
   Bytes sink(std::max<std::size_t>(msg_size, 1));
   auto make_handler = [&sink](int& counter) {
@@ -188,11 +189,11 @@ void print_series(const std::string& title,
 trace::BreakdownSummary fm1_breakdown(const net::ClusterParams& cp,
                                       std::size_t msg_size, int n_msgs,
                                       fm1::Config cfg) {
-  Engine eng;
-  net::Cluster cluster(eng, cp);
-  cluster.fabric().tracer().enable();
-  fm1::Endpoint tx(cluster, 0, cfg);
-  fm1::Endpoint rx(cluster, 1, cfg);
+  net::ParallelCluster cluster(cp);
+  Engine& eng = cluster.shard_engine(0);
+  cluster.shard_fabric(0).tracer().enable();
+  fm1::Endpoint tx(cluster.node(0), cluster.fabric_of(0), cfg);
+  fm1::Endpoint rx(cluster.node(1), cluster.fabric_of(1), cfg);
   int got = 0;
   rx.register_handler(0, [&](int, ByteSpan) { ++got; });
   eng.spawn([](fm1::Endpoint& ep, std::size_t size, int n) -> Task<void> {
@@ -203,17 +204,17 @@ trace::BreakdownSummary fm1_breakdown(const net::ClusterParams& cp,
     co_await ep.poll_until([&] { return g == n; });
   }(rx, got, n_msgs));
   eng.run();
-  return trace::summarize_breakdown(cluster.fabric().tracer());
+  return trace::summarize_breakdown(cluster.shard_fabric(0).tracer());
 }
 
 trace::BreakdownSummary fm2_breakdown(const net::ClusterParams& cp,
                                       std::size_t msg_size, int n_msgs,
                                       fm2::Config cfg) {
-  Engine eng;
-  net::Cluster cluster(eng, cp);
-  cluster.fabric().tracer().enable();
-  fm2::Endpoint tx(cluster, 0, cfg);
-  fm2::Endpoint rx(cluster, 1, cfg);
+  net::ParallelCluster cluster(cp);
+  Engine& eng = cluster.shard_engine(0);
+  cluster.shard_fabric(0).tracer().enable();
+  fm2::Endpoint tx(cluster.node(0), cluster.fabric_of(0), cfg);
+  fm2::Endpoint rx(cluster.node(1), cluster.fabric_of(1), cfg);
   int got = 0;
   Bytes sink(std::max<std::size_t>(msg_size, 1));
   rx.register_handler(0, [&](fm2::RecvStream& s, int) -> fm2::HandlerTask {
@@ -228,7 +229,7 @@ trace::BreakdownSummary fm2_breakdown(const net::ClusterParams& cp,
     co_await ep.poll_until([&] { return g == n; });
   }(rx, got, n_msgs));
   eng.run();
-  return trace::summarize_breakdown(cluster.fabric().tracer());
+  return trace::summarize_breakdown(cluster.shard_fabric(0).tracer());
 }
 
 void print_breakdown_rows(
@@ -262,9 +263,11 @@ namespace {
 template <typename MpiT>
 Measurement mpi_bandwidth_impl(const net::ClusterParams& cp,
                                std::size_t msg_size, int n_msgs) {
-  Engine eng;
-  net::Cluster cluster(eng, cp);
-  MpiT tx(cluster, 0), rx(cluster, 1);
+  net::ParallelCluster cluster(cp);
+  Engine& eng = cluster.shard_engine(0);
+  typename MpiT::Endpoint ep0(cluster.node(0), cluster.fabric_of(0));
+  typename MpiT::Endpoint ep1(cluster.node(1), cluster.fabric_of(1));
+  MpiT tx(ep0), rx(ep1);
   sim::Ps t_end = 0;
   eng.spawn([](mpi::Comm& c, std::size_t sz, int n) -> Task<void> {
     Bytes m(sz);
@@ -291,9 +294,11 @@ Measurement mpi_bandwidth_impl(const net::ClusterParams& cp,
 template <typename MpiT>
 double mpi_latency_impl(const net::ClusterParams& cp, std::size_t msg_size,
                         int rounds) {
-  Engine eng;
-  net::Cluster cluster(eng, cp);
-  MpiT a(cluster, 0), b(cluster, 1);
+  net::ParallelCluster cluster(cp);
+  Engine& eng = cluster.shard_engine(0);
+  typename MpiT::Endpoint ep0(cluster.node(0), cluster.fabric_of(0));
+  typename MpiT::Endpoint ep1(cluster.node(1), cluster.fabric_of(1));
+  MpiT a(ep0), b(ep1);
   sim::Ps t_end = 0;
   eng.spawn([](Engine& e, mpi::Comm& c, std::size_t sz, int n,
                sim::Ps& end) -> Task<void> {

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "bench_util.hpp"
+#include "myrinet/parallel_cluster.hpp"
 #include "sim/sync.hpp"
 
 using namespace fmx;
@@ -31,8 +32,8 @@ double raw_stage_bandwidth(Stage stage, std::size_t msg, int n_msgs = 300) {
     p.bus.dma_setup = 0;
     p.bus.dma_ps_per_byte = 0;
   }
-  Engine eng;
-  net::Cluster cluster(eng, p);
+  net::ParallelCluster cluster(p);
+  Engine& eng = cluster.shard_engine(0);
 
   constexpr int kCredits = 8;
   constexpr int kCreditBatch = 4;
@@ -40,7 +41,7 @@ double raw_stage_bandwidth(Stage stage, std::size_t msg, int n_msgs = 300) {
       eng, stage == Stage::kPlusFlowControl ? kCredits : 1 << 20);
 
   sim::Ps t_end = 0;
-  eng.spawn([](net::Cluster& c, std::size_t sz, int n, Stage st,
+  eng.spawn([](net::ParallelCluster& c, std::size_t sz, int n, Stage st,
                std::shared_ptr<sim::Semaphore> cr) -> Task<void> {
     (void)sz;
     auto& node = c.node(0);
@@ -58,7 +59,7 @@ double raw_stage_bandwidth(Stage stage, std::size_t msg, int n_msgs = 300) {
       }
     }
   }(cluster, msg, n_msgs, stage, credits));
-  eng.spawn([](Engine& e, net::Cluster& c, int n, Stage st,
+  eng.spawn([](Engine& e, net::ParallelCluster& c, int n, Stage st,
                std::shared_ptr<sim::Semaphore> cr,
                sim::Ps& end) -> Task<void> {
     (void)cr;
@@ -75,7 +76,7 @@ double raw_stage_bandwidth(Stage stage, std::size_t msg, int n_msgs = 300) {
     end = e.now();
   }(eng, cluster, n_msgs, stage, credits, t_end));
   // Credit packets arriving back at node 0 top the semaphore up.
-  eng.spawn_daemon([](net::Cluster& c,
+  eng.spawn_daemon([](net::ParallelCluster& c,
                       std::shared_ptr<sim::Semaphore> cr) -> Task<void> {
     for (;;) {
       (void)co_await c.node(0).nic().host_ring().pop();

@@ -11,6 +11,8 @@
 #include <memory>
 #include <vector>
 
+#include "myrinet/parallel_cluster.hpp"
+
 #include "bench_util.hpp"
 
 using namespace fmx;
@@ -25,19 +27,19 @@ struct Result {
 };
 
 Result small_msg_latency(bool whole_message, std::size_t bulk_size) {
-  Engine eng;
   auto params = net::ppro_fm2_cluster(3);
   // Credits must cover the largest bulk message, or the whole-message
   // configuration deadlocks (see ablation_features) and the comparison
   // silently measures an idle receiver.
   params.nic.host_ring_slots = 512;
-  net::Cluster cluster(eng, params);
+  net::ParallelCluster cluster(params);
+  Engine& eng = cluster.shard_engine(0);
   fm2::Config cfg;
   cfg.credits_per_peer = 192;
   cfg.whole_message_handlers = whole_message;
-  fm2::Endpoint bulk_tx(cluster, 0, cfg);
-  fm2::Endpoint small_tx(cluster, 1, cfg);
-  fm2::Endpoint rx(cluster, 2, cfg);
+  fm2::Endpoint bulk_tx(cluster.node(0), cluster.fabric_of(0), cfg);
+  fm2::Endpoint small_tx(cluster.node(1), cluster.fabric_of(1), cfg);
+  fm2::Endpoint rx(cluster.node(2), cluster.fabric_of(2), cfg);
 
   constexpr int kSmall = 40;
   int bulk_done = 0;

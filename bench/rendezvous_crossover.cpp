@@ -33,6 +33,7 @@
 #include "common/copy_stats.hpp"
 #include "mpi/mpi_fm2.hpp"
 #include "myrinet/node.hpp"
+#include "myrinet/parallel_cluster.hpp"
 
 using namespace fmx;
 using bench::Measurement;
@@ -68,9 +69,11 @@ mpi::MpiFm2Options rdzv_stream_opt() {
 /// cache exists for.
 double latency_us(const mpi::MpiFm2Options& opt, std::size_t msg_size,
                   int rounds) {
-  sim::Engine eng;
-  net::Cluster cluster(eng, net::ppro_fm2_cluster(2));
-  mpi::MpiFm2 a(cluster, 0, {}, opt), b(cluster, 1, {}, opt);
+  net::ParallelCluster cluster(net::ppro_fm2_cluster(2));
+  sim::Engine& eng = cluster.shard_engine(0);
+  fm2::Endpoint ep0(cluster.node(0), cluster.fabric_of(0));
+  fm2::Endpoint ep1(cluster.node(1), cluster.fabric_of(1));
+  mpi::MpiFm2 a(ep0, opt), b(ep1, opt);
   sim::Ps t_end = 0;
   eng.spawn([](sim::Engine& e, mpi::Comm& c, std::size_t sz, int n,
                sim::Ps& end) -> sim::Task<void> {
@@ -102,9 +105,11 @@ struct BwResult {
 /// methodology, and the shape that keeps the rendezvous pipeline full).
 BwResult bandwidth(const mpi::MpiFm2Options& opt, std::size_t msg_size,
                    int n_msgs) {
-  sim::Engine eng;
-  net::Cluster cluster(eng, net::ppro_fm2_cluster(2));
-  mpi::MpiFm2 tx(cluster, 0, {}, opt), rx(cluster, 1, {}, opt);
+  net::ParallelCluster cluster(net::ppro_fm2_cluster(2));
+  sim::Engine& eng = cluster.shard_engine(0);
+  fm2::Endpoint ep0(cluster.node(0), cluster.fabric_of(0));
+  fm2::Endpoint ep1(cluster.node(1), cluster.fabric_of(1));
+  mpi::MpiFm2 tx(ep0, opt), rx(ep1, opt);
   sim::Ps t_end = 0;
   eng.spawn([](mpi::Comm& c, std::size_t sz, int n) -> sim::Task<void> {
     Bytes m(sz);

@@ -44,6 +44,7 @@
 #include "bench_util.hpp"
 #include "mpi/mpi_fm2.hpp"
 #include "myrinet/node.hpp"
+#include "myrinet/parallel_cluster.hpp"
 
 using namespace fmx;
 using sim::Engine;
@@ -163,15 +164,17 @@ struct ConfigResult {
 };
 
 ConfigResult run_config(const net::ClusterParams& params) {
-  Engine eng;
-  net::Cluster cluster(eng, params);
+  net::ParallelCluster cluster(params);
+  Engine& eng = cluster.shard_engine(0);
   mpi::MpiFm2Options opt;
   opt.nic_collectives = true;
   opt.coll_radix = kCollRadix;
+  std::vector<std::unique_ptr<fm2::Endpoint>> eps;
   Comms comms;
   for (int r = 0; r < params.n_hosts; ++r) {
-    comms.push_back(
-        std::make_unique<mpi::MpiFm2>(cluster, r, fm2::Config{}, opt));
+    eps.push_back(std::make_unique<fm2::Endpoint>(cluster.node(r),
+                                                  cluster.fabric_of(r)));
+    comms.push_back(std::make_unique<mpi::MpiFm2>(*eps.back(), opt));
   }
   ConfigResult res;
   for (int r = 0; r < params.n_hosts; ++r) {

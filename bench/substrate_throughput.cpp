@@ -32,6 +32,7 @@
 #include "alloc_hook.hpp"
 #include "bench_util.hpp"
 #include "common/copy_stats.hpp"
+#include "myrinet/parallel_cluster.hpp"
 #include "sim/engine.hpp"
 #include "trace/trace.hpp"
 
@@ -72,9 +73,10 @@ int main(int argc, char** argv) {
   const int reps = std::max(argc > 4 ? std::atoi(argv[4]) : 5, 1);
   const int warmup_msgs = 200;
 
-  sim::Engine eng;
-  net::Cluster cluster(eng, net::ppro_fm2_cluster(2));
-  fm2::Endpoint tx(cluster, 0), rx(cluster, 1);
+  net::ParallelCluster cluster(net::ppro_fm2_cluster(2));
+  sim::Engine& eng = cluster.shard_engine(0);
+  fm2::Endpoint tx(cluster.node(0), cluster.fabric_of(0));
+  fm2::Endpoint rx(cluster.node(1), cluster.fabric_of(1));
   int got = 0;
   Bytes sink(msg_size);
   rx.register_handler(0, [&](fm2::RecvStream& s, int) -> fm2::HandlerTask {
@@ -88,9 +90,9 @@ int main(int argc, char** argv) {
   // measured. enable() preallocates chunk storage once; later enables reuse
   // it.
   stream(eng, tx, rx, got, ByteSpan{msg}, warmup_msgs);
-  cluster.fabric().tracer().enable();
+  cluster.shard_fabric(0).tracer().enable();
   stream(eng, tx, rx, got, ByteSpan{msg}, warmup_msgs);
-  cluster.fabric().tracer().disable();
+  cluster.shard_fabric(0).tracer().disable();
 
   // Physical vs modeled copies over one measured stream (the workload is
   // deterministic, so rep 0 speaks for all reps). real_* is what the
@@ -125,14 +127,14 @@ int main(int argc, char** argv) {
     plain[r].wall_s = std::chrono::duration<double>(t1 - t0).count();
     plain[r].sim_s = sim::to_seconds(eng.now() - sim_start);
 
-    cluster.fabric().tracer().enable();
+    cluster.shard_fabric(0).tracer().enable();
     bench::alloc_hook_reset();
     const auto t2 = Clock::now();
     traced[r].events = stream(eng, tx, rx, got, ByteSpan{msg}, n_msgs);
     const auto t3 = Clock::now();
     traced[r].allocs = bench::alloc_hook_count();
     traced[r].wall_s = std::chrono::duration<double>(t3 - t2).count();
-    cluster.fabric().tracer().disable();
+    cluster.shard_fabric(0).tracer().disable();
   }
 
   std::vector<double> eps, beps, teps;

@@ -20,6 +20,8 @@
 #include <cstdio>
 #include <vector>
 
+#include "myrinet/parallel_cluster.hpp"
+
 #include "mpi/mpi_fm2.hpp"
 
 using namespace fmx;
@@ -103,14 +105,16 @@ Task<void> rank_program(MpiFm2& comm, RunResult& out) {
 }
 
 RunResult run_sim(bool nic_collectives) {
-  sim::Engine engine;
-  net::Cluster cluster(engine, net::ppro_fm2_cluster(kRanks));
+  net::ParallelCluster cluster(net::ppro_fm2_cluster(kRanks));
+  sim::Engine& engine = cluster.shard_engine(0);
   mpi::MpiFm2Options opt;
   opt.nic_collectives = nic_collectives;
+  std::vector<std::unique_ptr<fm2::Endpoint>> eps;
   std::vector<std::unique_ptr<MpiFm2>> comms;
   for (int r = 0; r < kRanks; ++r) {
-    comms.push_back(
-        std::make_unique<MpiFm2>(cluster, r, fm2::Config{}, opt));
+    eps.push_back(std::make_unique<fm2::Endpoint>(cluster.node(r),
+                                                  cluster.fabric_of(r)));
+    comms.push_back(std::make_unique<MpiFm2>(*eps.back(), opt));
   }
   RunResult out;
   std::printf("%s collectives:\n", nic_collectives ? "NIC" : "host");

@@ -14,6 +14,7 @@
 
 #include "mpi/mpi_fm1.hpp"
 #include "mpi/mpi_fm2.hpp"
+#include "myrinet/parallel_cluster.hpp"
 #include "sim/random.hpp"
 #include "workload/traffic.hpp"
 
@@ -39,9 +40,11 @@ struct ReplayResult {
 template <typename MpiT>
 ReplayResult replay(const net::ClusterParams& platform,
                     const std::vector<std::size_t>& sizes) {
-  sim::Engine engine;
-  net::Cluster cluster(engine, platform);
-  MpiT tx(cluster, 0), rx(cluster, 1);
+  net::ParallelCluster cluster(platform);
+  sim::Engine& engine = cluster.shard_engine(0);
+  typename MpiT::Endpoint ep0(cluster.node(0), cluster.fabric_of(0));
+  typename MpiT::Endpoint ep1(cluster.node(1), cluster.fabric_of(1));
+  MpiT tx(ep0), rx(ep1);
 
   sim::Ps t_end = 0;
   engine.spawn([](Comm& c, const std::vector<std::size_t>& sz) -> Task<void> {

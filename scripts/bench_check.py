@@ -19,9 +19,9 @@ checks the sharded engine against BENCH_parallel.json:
     --min-events-per-window (default 50) at every thread count: batched
     windows are the whole point of the published-horizon scheduler, and a
     regression to ~lookahead-sized quanta shows up here first,
-  - "serial-mode regression": the sharded cluster at 1 thread must stay
-    within --max-shard-tax percent (default 5) of the single-engine serial
-    simulator measured in the SAME run — a machine-independent ratio,
+  - "serial-mode regression": the 8-shard cluster at 1 thread must stay
+    within --max-shard-tax percent (default 5) of the one-shard (serial)
+    cluster measured in the SAME run — a machine-independent ratio,
   - speedup at 4 threads must reach --min-speedup (default 1.5x), enforced
     only when the machine actually has >= 4 CPUs; on smaller machines the
     check is reported and skipped (a worker pool cannot speed up a

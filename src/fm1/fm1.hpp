@@ -55,7 +55,9 @@ using PacketType = wire::PacketType;
 
 class Endpoint {
  public:
-  Endpoint(net::Cluster& cluster, int node_id, Config cfg = {});
+  /// Bind to a node and the fabric (replica) it is attached to, i.e.
+  /// `Endpoint(cl.node(i), cl.fabric_of(i))`, as fm2::Endpoint does.
+  Endpoint(net::Node& node, net::Fabric& fabric, Config cfg = {});
   Endpoint(const Endpoint&) = delete;
   Endpoint& operator=(const Endpoint&) = delete;
 
@@ -82,8 +84,8 @@ class Endpoint {
   int cluster_size() const noexcept { return n_hosts_; }
   net::Host& host() noexcept { return node_.host(); }
   std::size_t max_payload_per_packet() const noexcept { return seg_; }
-  /// Cluster-wide tracer (owned by the fabric).
-  trace::Tracer& tracer() noexcept { return cluster_.fabric().tracer(); }
+  /// Tracer of the fabric (replica) this endpoint attaches to.
+  trace::Tracer& tracer() noexcept { return fabric_.tracer(); }
 
   struct Stats {
     std::uint64_t msgs_sent = 0;
@@ -125,10 +127,10 @@ class Endpoint {
   /// Send `dest` an explicit credit packet (it is owed at least the
   /// return threshold).
   sim::Task<void> return_credits(int dest);
-  /// Cluster-wide packet-buffer pool (owned by the fabric).
-  BufferPool& pool() noexcept { return cluster_.fabric().pool(); }
+  /// Packet-buffer pool of the fabric (replica) this endpoint attaches to.
+  BufferPool& pool() noexcept { return fabric_.pool(); }
 
-  net::Cluster& cluster_;
+  net::Fabric& fabric_;
   net::Node& node_;
   Config cfg_;
   int n_hosts_;

@@ -205,11 +205,10 @@ struct Config {
 
 class Endpoint {
  public:
-  Endpoint(net::Cluster& cluster, int node_id, Config cfg = {});
-  /// Shard-aware form: bind to a node and the fabric (replica) it is
-  /// attached to. This is the constructor parallel runs use — an endpoint
-  /// only ever touches its own node plus that fabric's pool/tracer, so it
-  /// is naturally shard-local (see myrinet/parallel_cluster.hpp).
+  /// Bind to a node and the fabric (replica) it is attached to, i.e.
+  /// `Endpoint(cl.node(i), cl.fabric_of(i))`. An endpoint only ever touches
+  /// its own node plus that fabric's pool/tracer, so it is naturally
+  /// shard-local (see myrinet/parallel_cluster.hpp).
   Endpoint(net::Node& node, net::Fabric& fabric, Config cfg = {});
   Endpoint(const Endpoint&) = delete;
   Endpoint& operator=(const Endpoint&) = delete;
@@ -317,7 +316,7 @@ class Endpoint {
   int cluster_size() const noexcept { return n_hosts_; }
   net::Host& host() noexcept { return node_.host(); }
   std::size_t max_payload_per_packet() const noexcept { return seg_; }
-  /// Cluster-wide tracer (owned by the fabric this endpoint attaches to).
+  /// Tracer of the fabric (replica) this endpoint attaches to.
   trace::Tracer& tracer() noexcept { return fabric_.tracer(); }
 
   struct Stats {
@@ -387,7 +386,7 @@ class Endpoint {
   /// Send `dest` an explicit credit packet (it is owed at least the
   /// return threshold).
   sim::Task<void> return_credits(int dest);
-  /// Cluster-wide packet-buffer pool (owned by the fabric).
+  /// Packet-buffer pool of the fabric (replica) this endpoint attaches to.
   BufferPool& pool() noexcept { return fabric_.pool(); }
 
   /// Route one data packet into its source's stream machinery.

@@ -182,7 +182,7 @@ class ParallelCluster::Port final : public CrossShardPort {
 
 ParallelCluster::ParallelCluster(const ClusterParams& p, int n_shards)
     : params_(p),
-      n_shards_(n_shards <= 0 || n_shards > p.n_hosts ? p.n_hosts : n_shards),
+      n_shards_(std::clamp(n_shards, 1, p.n_hosts)),
       shard_of_(make_shard_of(p.n_hosts, n_shards_)),
       par_(n_shards_, make_lookahead(p, shard_of_, n_shards_)) {
   // Host range [shard_begin_[s], shard_begin_[s+1]) owned by shard s, and
@@ -388,8 +388,11 @@ Fabric::Stats ParallelCluster::fabric_stats() const {
   return out;
 }
 
-// Mirror of Cluster::expose_metrics, scoped per shard: every shard's tracer
-// sees its own fabric replica, pool, and the nodes it owns.
+// Bind the live hardware counters (fabric, pool, per-node NIC and host
+// ledger) into the tracer metrics registries so tests and benches can query
+// them by name. Views only — the hot paths keep bumping the same plain
+// fields. Scoped per shard: every shard's tracer sees its own fabric
+// replica, pool, and the nodes it owns.
 void ParallelCluster::expose_metrics() {
   for (int s = 0; s < n_shards_; ++s) {
     trace::MetricsRegistry& m = fabrics_[s]->tracer().metrics();

@@ -16,21 +16,23 @@
 // only meet at window barriers and ring publishes. Per-shard traces merge
 // deterministically via trace::merge_streams.
 //
-// Note on fidelity vs the single-engine Cluster: back-pressure on a
+// One shard is the reference model: every node and the whole fabric live
+// on one engine, so it is the serial simulator (tests drive it with
+// shard_engine(0).run() as well as run(1)). Several shards partition the
+// same model; two semantics differ from one shard: back-pressure on a
 // cross-shard path is exerted at the destination's downlink (where the
 // STOP/GO signal physically originates) instead of at injection time, and
 // inter-switch links are arbitrated per source shard. Single-switch
 // clusters (n_hosts <= hosts_per_switch, e.g. the 8-node FM2 preset) have
-// no inter-switch links, so only the back-pressure timing differs from the
-// serial Cluster; results are bit-identical across thread counts either
-// way, with 1-thread parallel mode as the reference.
+// no inter-switch links, so only the back-pressure timing differs. Results
+// are bit-identical across thread counts at every shard count.
 //
-// Workload code must keep its conditions node-local: a poll_until on one
-// node watching state mutated by another node's handler worked on the
-// single-engine Cluster (any event re-polls) but deadlocks here — once the
-// watcher's shard goes idle, nothing local wakes the poller. Have each
-// node wait on its own counters (run() reports such stuck tasks in
-// RunResult::pending_roots).
+// With several shards, workload code must keep its conditions node-local:
+// a poll_until on one node watching state mutated by another shard's
+// handler deadlocks — once the watcher's shard goes idle, nothing local
+// wakes the poller. On one shard any event re-polls, so the same code runs
+// to completion there and hides the bug. Have each node wait on its own
+// counters (run() reports stuck tasks in RunResult::pending_roots).
 #pragma once
 
 #include <algorithm>
@@ -49,8 +51,9 @@ namespace fmx::net {
 
 class ParallelCluster {
  public:
-  /// `n_shards` defaults (0) to one shard per node.
-  explicit ParallelCluster(const ClusterParams& p, int n_shards = 0);
+  /// `n_shards` is clamped to [1, n_hosts]; one shard is the reference
+  /// model.
+  explicit ParallelCluster(const ClusterParams& p, int n_shards = 1);
   ParallelCluster(const ParallelCluster&) = delete;
   ParallelCluster& operator=(const ParallelCluster&) = delete;
   ~ParallelCluster();

@@ -80,9 +80,15 @@ class Channel {
     return v;
   }
 
-  /// Pre-size the backing ring (see RingQueue::reserve). For a bounded
-  /// channel, reserve(capacity()) makes push allocation-free forever.
-  void reserve(std::size_t n) { buf_.reserve(n); }
+  /// Pre-size the backing ring (see RingQueue::reserve) and the queue of
+  /// pushers blocked on a full channel. For a bounded channel,
+  /// reserve(capacity()) makes push allocation-free forever, including the
+  /// first time the channel fills (which a workload may reach only in a
+  /// later wave, from a different starting state).
+  void reserve(std::size_t n) {
+    buf_.reserve(n);
+    not_full_.reserve(kReservedPushers);
+  }
 
   const T& front() const { return buf_.front(); }
   std::size_t size() const noexcept { return buf_.size(); }
@@ -101,6 +107,8 @@ class Channel {
       poll_cv_.notify_one();
     }
   }
+
+  static constexpr std::size_t kReservedPushers = 8;
 
   std::size_t capacity_;
   std::uint64_t poke_gen_ = 0;

@@ -47,6 +47,8 @@ class CondVar {
   }
 
   std::size_t waiting() const noexcept { return waiters_.size(); }
+  /// Pre-size the waiter queue so up to `n` waiters never allocate.
+  void reserve(std::size_t n) { waiters_.reserve(n); }
 
  private:
   Engine& eng_;

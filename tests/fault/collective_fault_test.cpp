@@ -22,6 +22,7 @@
 #include "myrinet/coll.hpp"
 #include "myrinet/node.hpp"
 #include "myrinet/packet.hpp"
+#include "myrinet/parallel_cluster.hpp"
 
 namespace fmx::fault {
 namespace {
@@ -110,16 +111,16 @@ struct SweepResult {
 SweepResult run_sweep(std::uint64_t seed, net::CollClass target) {
   constexpr int kN = 12;
   constexpr std::size_t kBcastBytes = 64;
-  Engine eng;
   auto params = net::ppro_fm2_cluster(kN);
   params.nic.reliable_link = true;
-  net::Cluster cl(eng, params);
+  net::ParallelCluster cl(params);
+  Engine& eng = cl.shard_engine(0);
   CollClassInjector inj(eng, profile_for(seed), target);
-  cl.fabric().set_fault(&inj);
+  cl.shard_fabric(0).set_fault(&inj);
 
   std::vector<std::unique_ptr<fm2::Endpoint>> eps;
   for (int i = 0; i < kN; ++i) {
-    eps.push_back(std::make_unique<fm2::Endpoint>(cl, i));
+    eps.push_back(std::make_unique<fm2::Endpoint>(cl.node(i), cl.fabric_of(i)));
   }
   net::CollGroupSpec spec;
   spec.id = 7;
@@ -199,7 +200,7 @@ SweepResult run_sweep(std::uint64_t seed, net::CollClass target) {
     }
   }
   r.events = eng.events_processed();
-  r.fabric = cl.fabric().stats();
+  r.fabric = cl.shard_fabric(0).stats();
   r.inj = inj.stats();
   r.violations = led.violations();
   r.report = led.report();

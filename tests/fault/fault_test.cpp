@@ -16,6 +16,7 @@
 #include "fault/invariants.hpp"
 #include "fm2/fm2.hpp"
 #include "myrinet/node.hpp"
+#include "myrinet/parallel_cluster.hpp"
 #include "tests/common/sim_fixture.hpp"
 
 namespace fmx::fault {
@@ -65,7 +66,6 @@ struct SweepResult {
 // grid hitting the MTU±1 boundaries in each active direction. Returns the
 // full observable state so callers can assert determinism field-by-field.
 SweepResult run_sweep(std::uint64_t seed) {
-  Engine eng;
   auto params = net::ppro_fm2_cluster(2);
   params.nic.reliable_link = true;
   if (seed % 3 == 0) {
@@ -74,10 +74,11 @@ SweepResult run_sweep(std::uint64_t seed) {
     params.nic.host_ring_slots = 8;
     params.nic.sram_rx_slots = 4;
   }
-  net::Cluster cl(eng, params);
-  PlanInjector inj(eng, profile_for(seed));
-  arm(cl, inj);
-  fm2::Endpoint ep0(cl, 0), ep1(cl, 1);
+  net::ParallelCluster cl(params);
+  Engine& eng = cl.shard_engine(0);
+  auto inj = arm(cl, profile_for(seed));
+  fm2::Endpoint ep0(cl.node(0), cl.fabric_of(0));
+  fm2::Endpoint ep1(cl.node(1), cl.fabric_of(1));
   InvariantLedger led;
 
   const std::size_t mtu = params.nic.mtu_payload;
@@ -150,10 +151,10 @@ SweepResult run_sweep(std::uint64_t seed) {
   SweepResult r;
   r.events = eng.events_processed();
   r.delivered = led.messages_delivered();
-  r.fabric = cl.fabric().stats();
+  r.fabric = cl.shard_fabric(0).stats();
   r.nic0 = cl.node(0).nic().stats();
   r.nic1 = cl.node(1).nic().stats();
-  r.inj = inj.stats();
+  r.inj = inj[0]->stats();
   r.violations = led.violations();
   r.report = led.report();
   return r;
@@ -231,20 +232,19 @@ TEST(FaultDetection, UnreliableLinkDropsAreObservedNotMasked) {
   // reliable_link OFF, same lossy profile: the stack above must be able to
   // SEE the damage — CRC drops counted, packets missing — rather than have
   // it silently corrupt data. Every payload that DOES arrive is intact.
-  Engine eng;
-  net::Cluster cl(eng, net::ppro_fm2_cluster(2));  // reliable_link off
-  PlanInjector inj(eng, FaultPlan::lossy(0.03, 7));
-  arm(cl, inj);
+  net::ParallelCluster cl(net::ppro_fm2_cluster(2));  // reliable_link off
+  Engine& eng = cl.shard_engine(0);
+  auto inj = arm(cl, FaultPlan::lossy(0.03, 7));
   constexpr int kN = 400;
   constexpr std::uint64_t kPattern = 42;
-  eng.spawn([](net::Cluster& c) -> Task<void> {
+  eng.spawn([](net::ParallelCluster& c) -> Task<void> {
     for (int i = 0; i < kN; ++i) {
       co_await c.node(0).nic().enqueue(
           net::SendDescriptor(1, pattern_bytes(kPattern, 512), true));
     }
   }(cl));
   int got = 0;
-  eng.spawn_daemon([](net::Cluster& c, int& g) -> Task<void> {
+  eng.spawn_daemon([](net::ParallelCluster& c, int& g) -> Task<void> {
     for (;;) {
       net::RxPacket p = co_await c.node(1).nic().host_ring().pop();
       EXPECT_EQ(p.payload.size(), 512u);
@@ -253,8 +253,8 @@ TEST(FaultDetection, UnreliableLinkDropsAreObservedNotMasked) {
     }
   }(cl, got));
   ASSERT_TRUE(test::run_to_exhaustion(eng));
-  EXPECT_GT(inj.stats().drops, 0u);
-  EXPECT_GT(inj.stats().corruptions, 0u);
+  EXPECT_GT(inj[0]->stats().drops, 0u);
+  EXPECT_GT(inj[0]->stats().corruptions, 0u);
   EXPECT_LT(got, kN);  // losses are visible as missing packets...
   EXPECT_GT(cl.node(1).nic().stats().crc_dropped, 0u);  // ...and CRC counts
   EXPECT_EQ(cl.node(1).nic().stats().seq_dropped, 0u);  // seq layer off
@@ -264,12 +264,11 @@ TEST(FaultInjection, BusStallsSlowTheRunDeterministically) {
   // Same workload with and without bus-stall windows: the degraded run
   // finishes strictly later and the injector counts the stalls.
   auto run = [](bool degraded) {
-    Engine eng;
-    net::Cluster cl(eng, net::ppro_fm2_cluster(2));
+    net::ParallelCluster cl(net::ppro_fm2_cluster(2));
+    Engine& eng = cl.shard_engine(0);
     auto plan = degraded ? FaultPlan::degraded_bus(11) : FaultPlan::clean(11);
-    PlanInjector inj(eng, plan);
-    arm(cl, inj);
-    eng.spawn([](net::Cluster& c) -> Task<void> {
+    auto inj = arm(cl, plan);
+    eng.spawn([](net::ParallelCluster& c) -> Task<void> {
       for (int i = 0; i < 50; ++i) {
         co_await c.node(0).nic().enqueue(
             net::SendDescriptor(1, Bytes(1024), true));
@@ -277,14 +276,14 @@ TEST(FaultInjection, BusStallsSlowTheRunDeterministically) {
     }(cl));
     sim::Ps end = 0;
     eng.spawn(
-        [](net::Cluster& c, sim::Ps& e, Engine& en) -> Task<void> {
+        [](net::ParallelCluster& c, sim::Ps& e, Engine& en) -> Task<void> {
           for (int i = 0; i < 50; ++i) {
             (void)co_await c.node(1).nic().host_ring().pop();
           }
           e = en.now();
         }(cl, end, eng));
     EXPECT_TRUE(test::run_to_exhaustion(eng));
-    return std::pair<sim::Ps, std::uint64_t>{end, inj.stats().bus_stalls};
+    return std::pair<sim::Ps, std::uint64_t>{end, inj[0]->stats().bus_stalls};
   };
   auto [t_clean, stalls_clean] = run(false);
   auto [t_degraded, stalls_degraded] = run(true);
@@ -298,14 +297,13 @@ TEST(FaultInjection, SlowReceiverPacingBuildsBackPressure) {
   // slack the whole transfer must observably take longer — the STOP/GO
   // back-pressure path from receive pacing to sender stalls.
   auto run = [](bool slow) {
-    Engine eng;
     auto params = net::ppro_fm2_cluster(2);
     params.nic.sram_rx_slots = 2;
-    net::Cluster cl(eng, params);
+    net::ParallelCluster cl(params);
+    Engine& eng = cl.shard_engine(0);
     auto plan = slow ? FaultPlan::slow_receiver(3) : FaultPlan::clean(3);
-    PlanInjector inj(eng, plan);
-    arm(cl, inj);
-    eng.spawn([](net::Cluster& c) -> Task<void> {
+    auto inj = arm(cl, plan);
+    eng.spawn([](net::ParallelCluster& c) -> Task<void> {
       for (int i = 0; i < 60; ++i) {
         co_await c.node(0).nic().enqueue(
             net::SendDescriptor(1, Bytes(512), true));
@@ -313,7 +311,7 @@ TEST(FaultInjection, SlowReceiverPacingBuildsBackPressure) {
     }(cl));
     sim::Ps end = 0;
     eng.spawn(
-        [](net::Cluster& c, sim::Ps& e, Engine& en) -> Task<void> {
+        [](net::ParallelCluster& c, sim::Ps& e, Engine& en) -> Task<void> {
           for (int i = 0; i < 60; ++i) {
             (void)co_await c.node(1).nic().host_ring().pop();
           }
@@ -329,19 +327,18 @@ TEST(FaultInjection, PerLinkOverridesTargetOneDirection) {
   // Drop every packet 0->1 but none 1->0: node 1 starves while node 1's
   // own sends sail through — per-link schedules really are per-link.
   // Unreliable link so the drops stay visible.
-  Engine eng;
-  net::Cluster cl(eng, net::ppro_fm2_cluster(2));
+  net::ParallelCluster cl(net::ppro_fm2_cluster(2));
+  Engine& eng = cl.shard_engine(0);
   FaultPlan plan = FaultPlan::clean(5);
   LinkOverride kill;
   kill.src = 0;
   kill.dst = 1;
   kill.rates.drop = 1.0;
   plan.links.push_back(kill);
-  PlanInjector inj(eng, plan);
-  arm(cl, inj);
+  auto inj = arm(cl, plan);
   constexpr int kN = 20;
   for (int dir = 0; dir < 2; ++dir) {
-    eng.spawn([](net::Cluster& c, int from) -> Task<void> {
+    eng.spawn([](net::ParallelCluster& c, int from) -> Task<void> {
       for (int i = 0; i < kN; ++i) {
         co_await c.node(from).nic().enqueue(
             net::SendDescriptor(1 - from, Bytes(128), true));
@@ -349,13 +346,13 @@ TEST(FaultInjection, PerLinkOverridesTargetOneDirection) {
     }(cl, dir));
   }
   int got0 = 0, got1 = 0;
-  eng.spawn_daemon([](net::Cluster& c, int& g) -> Task<void> {
+  eng.spawn_daemon([](net::ParallelCluster& c, int& g) -> Task<void> {
     for (;;) {
       (void)co_await c.node(1).nic().host_ring().pop();
       ++g;
     }
   }(cl, got1));
-  eng.spawn_daemon([](net::Cluster& c, int& g) -> Task<void> {
+  eng.spawn_daemon([](net::ParallelCluster& c, int& g) -> Task<void> {
     for (;;) {
       (void)co_await c.node(0).nic().host_ring().pop();
       ++g;
@@ -364,7 +361,7 @@ TEST(FaultInjection, PerLinkOverridesTargetOneDirection) {
   ASSERT_TRUE(test::run_to_exhaustion(eng));
   EXPECT_EQ(got1, 0);   // the killed direction delivered nothing
   EXPECT_EQ(got0, kN);  // the clean direction delivered everything
-  EXPECT_EQ(inj.stats().drops, static_cast<std::uint64_t>(kN));
+  EXPECT_EQ(inj[0]->stats().drops, static_cast<std::uint64_t>(kN));
 }
 
 }  // namespace

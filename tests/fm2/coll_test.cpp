@@ -10,6 +10,7 @@
 
 #include "fm2/fm2.hpp"
 #include "myrinet/node.hpp"
+#include "myrinet/parallel_cluster.hpp"
 #include "tests/common/sim_fixture.hpp"
 
 namespace fmx::fm2 {
@@ -19,16 +20,18 @@ using sim::Engine;
 using sim::Task;
 
 struct World {
-  explicit World(net::ClusterParams p, Config cfg = {}) : cluster(eng, p) {
+  explicit World(net::ClusterParams p, Config cfg = {})
+      : cluster(p), eng(cluster.shard_engine(0)) {
     for (int i = 0; i < p.n_hosts; ++i) {
-      eps.push_back(std::make_unique<Endpoint>(cluster, i, cfg));
+      eps.push_back(std::make_unique<Endpoint>(cluster.node(i),
+                                               cluster.fabric_of(i), cfg));
     }
   }
   Endpoint& ep(int i) { return *eps[i]; }
   net::Nic& nic(int i) { return cluster.node(i).nic(); }
 
-  Engine eng;
-  net::Cluster cluster;
+  net::ParallelCluster cluster;
+  Engine& eng;
   std::vector<std::unique_ptr<Endpoint>> eps;
 };
 

@@ -13,6 +13,7 @@
 #include "fm2/fm2.hpp"
 #include "myrinet/fault_hooks.hpp"
 #include "myrinet/packet.hpp"
+#include "myrinet/parallel_cluster.hpp"
 #include "sim/frame_pool.hpp"
 #include "tests/common/sim_fixture.hpp"
 
@@ -77,9 +78,9 @@ TEST(CreditReturn, WireCapRemainderStaysOwed) {
 // Frames allocated by one extract() on node 0 of an idle `hosts`-host
 // cluster, after a first run has parked every NIC daemon.
 std::uint64_t idle_extract_frames(int hosts) {
-  Engine eng;
-  net::Cluster cl(eng, net::fat_tree_cluster(hosts));
-  fm2::Endpoint ep(cl, 0);
+  net::ParallelCluster cl(net::fat_tree_cluster(hosts));
+  Engine& eng = cl.shard_engine(0);
+  fm2::Endpoint ep(cl.node(0), cl.fabric_of(0));
   auto one_extract = [](fm2::Endpoint& e) -> Task<void> {
     (void)co_await e.extract();
   };
@@ -123,13 +124,14 @@ TEST(CreditReturn, PacketsLeaveInAscendingPeerOrder) {
   fm2::Config cfg;
   cfg.credits_per_peer = 8;
   cfg.credit_return_threshold = 2;
-  Engine eng;
-  net::Cluster cl(eng, net::ppro_fm2_cluster(kHosts));
+  net::ParallelCluster cl(net::ppro_fm2_cluster(kHosts));
+  Engine& eng = cl.shard_engine(0);
   CreditTap tap;
-  cl.fabric().set_fault(&tap);
+  cl.shard_fabric(0).set_fault(&tap);
   std::vector<std::unique_ptr<fm2::Endpoint>> eps;
   for (int i = 0; i < kHosts; ++i) {
-    eps.push_back(std::make_unique<fm2::Endpoint>(cl, i, cfg));
+    eps.push_back(std::make_unique<fm2::Endpoint>(cl.node(i), cl.fabric_of(i),
+                                                  cfg));
   }
   fm2::Endpoint& rx = *eps[0];
 

@@ -11,6 +11,7 @@
 
 #include "fm2/fm2.hpp"
 #include "myrinet/node.hpp"
+#include "myrinet/parallel_cluster.hpp"
 #include "tests/common/sim_fixture.hpp"
 #include "trace/trace.hpp"
 
@@ -30,21 +31,22 @@ struct Timeline {
 
 // Streams one bulk message and reads its timeline back out of the trace.
 Timeline run_bulk(bool whole_message) {
-  Engine eng;
   auto params = net::ppro_fm2_cluster(2);
   params.nic.host_ring_slots = 512;  // credits must cover the bulk message
-  net::Cluster cluster(eng, params);
+  net::ParallelCluster cluster(params);
+  Engine& eng = cluster.shard_engine(0);
   fm2::Config cfg;
   cfg.credits_per_peer = 192;
   cfg.whole_message_handlers = whole_message;
-  fm2::Endpoint tx(cluster, 0, cfg), rx(cluster, 1, cfg);
+  fm2::Endpoint tx(cluster.node(0), cluster.fabric_of(0), cfg);
+  fm2::Endpoint rx(cluster.node(1), cluster.fabric_of(1), cfg);
   int got = 0;
   Bytes sink(kBulk);
   rx.register_handler(0, [&](fm2::RecvStream& s, int) -> fm2::HandlerTask {
     co_await s.receive(sink.data(), s.msg_bytes());
     ++got;
   });
-  cluster.fabric().tracer().enable();
+  cluster.shard_fabric(0).tracer().enable();
   eng.spawn([](fm2::Endpoint& ep) -> Task<void> {
     Bytes m(kBulk);
     co_await ep.send(1, 0, ByteSpan{m});
@@ -56,7 +58,7 @@ Timeline run_bulk(bool whole_message) {
   EXPECT_EQ(got, 1);
 
   // The bulk message id, as both sides computed it independently.
-  const trace::Tracer& t = cluster.fabric().tracer();
+  const trace::Tracer& t = cluster.shard_fabric(0).tracer();
   std::uint64_t bulk_id = 0;
   for (std::size_t i = 0; i < t.size(); ++i) {
     const trace::Event& e = t.at(i);

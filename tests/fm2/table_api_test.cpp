@@ -6,6 +6,7 @@
 
 #include "fm1/fm1.hpp"
 #include "fm2/fm2.hpp"
+#include "myrinet/parallel_cluster.hpp"
 
 namespace fmx {
 namespace {
@@ -14,9 +15,10 @@ using sim::Engine;
 using sim::Task;
 
 TEST(Table1Api, SendSend4Extract) {
-  Engine eng;
-  net::Cluster cl(eng, net::sparc_fm1_cluster(2));
-  fm1::Endpoint node0(cl, 0), node1(cl, 1);
+  net::ParallelCluster cl(net::sparc_fm1_cluster(2));
+  Engine& eng = cl.shard_engine(0);
+  fm1::Endpoint node0(cl.node(0), cl.fabric_of(0));
+  fm1::Endpoint node1(cl.node(1), cl.fabric_of(1));
   int got_long = 0, got_quad = 0;
   node1.register_handler(1, [&](int, ByteSpan d) {
     EXPECT_EQ(pattern_mismatch(9, 0, d), -1);
@@ -47,9 +49,10 @@ TEST(Table1Api, SendSend4Extract) {
 }
 
 TEST(Table2Api, BeginPieceEndReceiveExtract) {
-  Engine eng;
-  net::Cluster cl(eng, net::ppro_fm2_cluster(2));
-  fm2::Endpoint node0(cl, 0), node1(cl, 1);
+  net::ParallelCluster cl(net::ppro_fm2_cluster(2));
+  Engine& eng = cl.shard_engine(0);
+  fm2::Endpoint node0(cl.node(0), cl.fabric_of(0));
+  fm2::Endpoint node1(cl.node(1), cl.fabric_of(1));
   bool got = false;
   node1.register_handler(5, [&](fm2::RecvStream& stream,
                                 int) -> fm2::HandlerTask {

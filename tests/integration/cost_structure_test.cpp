@@ -8,6 +8,7 @@
 
 #include "mpi/mpi_fm1.hpp"
 #include "mpi/mpi_fm2.hpp"
+#include "myrinet/parallel_cluster.hpp"
 
 namespace fmx {
 namespace {
@@ -25,9 +26,10 @@ struct Pair {
 };
 
 Pair run_fm1() {
-  Engine eng;
-  net::Cluster cluster(eng, net::sparc_fm1_cluster(2));
-  fm1::Endpoint tx(cluster, 0), rx(cluster, 1);
+  net::ParallelCluster cluster(net::sparc_fm1_cluster(2));
+  Engine& eng = cluster.shard_engine(0);
+  fm1::Endpoint tx(cluster.node(0), cluster.fabric_of(0));
+  fm1::Endpoint rx(cluster.node(1), cluster.fabric_of(1));
   int got = 0;
   rx.register_handler(0, [&](int, ByteSpan) { ++got; });
   eng.spawn([](fm1::Endpoint& ep) -> Task<void> {
@@ -43,9 +45,11 @@ Pair run_fm1() {
 
 template <typename MpiT>
 Pair run_mpi(const net::ClusterParams& cp) {
-  Engine eng;
-  net::Cluster cluster(eng, cp);
-  MpiT tx(cluster, 0), rx(cluster, 1);
+  net::ParallelCluster cluster(cp);
+  Engine& eng = cluster.shard_engine(0);
+  typename MpiT::Endpoint ep0(cluster.node(0), cluster.fabric_of(0));
+  typename MpiT::Endpoint ep1(cluster.node(1), cluster.fabric_of(1));
+  MpiT tx(ep0), rx(ep1);
   eng.spawn([](mpi::Comm& c) -> Task<void> {
     Bytes m(kSize);
     for (int i = 0; i < kMsgs; ++i) co_await c.send(ByteSpan{m}, 1, 0);
@@ -112,9 +116,10 @@ TEST(CostStructure, MpiFm2MatchingIsThin) {
 
 TEST(CostStructure, Fm1VsFm2SendCopyDiscipline) {
   // FM 2.x sender: exactly one gather copy per byte (plus headers).
-  Engine eng;
-  net::Cluster cluster(eng, net::ppro_fm2_cluster(2));
-  fm2::Endpoint tx(cluster, 0), rx(cluster, 1);
+  net::ParallelCluster cluster(net::ppro_fm2_cluster(2));
+  Engine& eng = cluster.shard_engine(0);
+  fm2::Endpoint tx(cluster.node(0), cluster.fabric_of(0));
+  fm2::Endpoint rx(cluster.node(1), cluster.fabric_of(1));
   int got = 0;
   rx.register_handler(0, [&](fm2::RecvStream& s, int) -> fm2::HandlerTask {
     co_await s.skip(s.remaining());

@@ -6,6 +6,7 @@
 // distances, and cross-shard flow timestamps all have to agree exactly.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -24,10 +25,11 @@ struct WaveOutcome {
 };
 
 WaveOutcome run_fat_tree(workload::TrafficPattern pattern, int threads,
-                         int hosts = 32, int flows_per_host = 24) {
+                         int shards = 4, int hosts = 32,
+                         int flows_per_host = 24) {
   auto params = net::fat_tree_cluster(hosts, /*radix=*/4, /*oversub=*/2);
   params.nic.host_ring_slots = 128;
-  net::ParallelCluster cl(params, 4);
+  net::ParallelCluster cl(params, shards);
   workload::TrafficEngine te(cl);
 
   workload::TrafficConfig cfg;
@@ -60,6 +62,38 @@ TEST_P(FabricDeterminism, DigestIdenticalAcrossThreadCounts) {
     EXPECT_EQ(got.digest, ref.digest) << threads << " threads";
     EXPECT_EQ(got.events, ref.events) << threads << " threads";
     EXPECT_EQ(got.p999, ref.p999) << threads << " threads";
+  }
+}
+
+// Known shard-count divergence: each shard's fabric replica arbitrates
+// inter-switch links on its own, and cross-shard STOP/GO back-pressure is
+// applied at the destination downlink, so the simulated answer depends on
+// the partition (see myrinet/parallel_cluster.hpp). Until every link has
+// one owning shard, pin one digest per shard count: the divergence may not
+// silently grow or move, and every shard count stays bit-identical across
+// thread counts. When links get owners, the three pins must collapse into
+// the one-shard value.
+TEST(FabricShardDivergence, PinnedPerShardCount) {
+  struct Pin {
+    int shards;
+    std::uint64_t digest;
+  };
+  constexpr Pin kPins[] = {
+      {1, 0xa4673bf25d528a5aull},
+      {2, 0x5b7ae602b7cae631ull},
+      {8, 0x11eaad3064505e12ull},
+  };
+  for (const Pin& pin : kPins) {
+    const auto ref =
+        run_fat_tree(workload::TrafficPattern::kUniform, 1, pin.shards);
+    const auto got =
+        run_fat_tree(workload::TrafficPattern::kUniform, 4, pin.shards);
+    EXPECT_EQ(got.digest, ref.digest) << pin.shards << " shards, 4 threads";
+    EXPECT_EQ(got.events, ref.events) << pin.shards << " shards, 4 threads";
+    EXPECT_EQ(got.p999, ref.p999) << pin.shards << " shards, 4 threads";
+    EXPECT_EQ(ref.digest, pin.digest)
+        << pin.shards << "-shard digest moved; got 0x" << std::hex
+        << ref.digest;
   }
 }
 

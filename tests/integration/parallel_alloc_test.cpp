@@ -4,14 +4,18 @@
 // must not leak into other test executables).
 //
 // After one warmup wave (per-shard buffer/frame pools carved, SPSC rings
-// preallocated, the persistent worker pool spawned), a second full
-// all-to-all wave at 4 threads must perform zero heap allocations: no
-// per-event, per-packet, per-quantum, or per-park allocation anywhere in
-// the engine, transport, or synchronization path.
+// preallocated, the persistent worker pool spawned), a second identical
+// wave must perform zero heap allocations: no per-event, per-packet,
+// per-quantum, or per-park allocation anywhere in the engine, transport, or
+// synchronization path. The grid covers the message sizes around the FM 2.x
+// packet boundary, the dense all-to-all and sparse ring patterns, and the
+// one-shard reference model next to a 4-shard cluster at 4 threads.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <memory>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "bench/common/alloc_hook.hpp"
@@ -24,40 +28,58 @@ namespace {
 
 constexpr int kNodes = 4;
 constexpr int kMsgsPerPeer = 30;
-constexpr std::size_t kMsgSize = 1024;
 
-void wave(net::ParallelCluster& cl,
-          std::vector<std::unique_ptr<fm2::Endpoint>>& eps,
-          std::vector<int>& got, const Bytes& payload, int threads) {
-  std::fill(got.begin(), got.end(), 0);
-  for (int i = 0; i < kNodes; ++i) {
-    cl.spawn_on(i, [](fm2::Endpoint& ep, ByteSpan msg, int self,
-                      int n) -> sim::Task<void> {
-      for (int m = 0; m < n; ++m) {
-        for (int j = 0; j < kNodes; ++j) {
-          if (j != self) co_await ep.send(j, 0, msg);
+enum class Pattern { kAllToAll, kRing };
+
+struct Wave {
+  net::ParallelCluster& cl;
+  std::vector<std::unique_ptr<fm2::Endpoint>>& eps;
+  std::vector<int>& got;
+  Pattern pattern;
+  int threads;
+
+  // Every node streams kMsgsPerPeer messages to each peer (all-to-all) or
+  // to its right neighbor only (ring); receivers poll until they saw all.
+  void run(const Bytes& payload) {
+    const int peers = pattern == Pattern::kRing ? 1 : kNodes - 1;
+    std::fill(got.begin(), got.end(), 0);
+    for (int i = 0; i < kNodes; ++i) {
+      cl.spawn_on(i, [](fm2::Endpoint& ep, ByteSpan msg, int self,
+                        bool ring) -> sim::Task<void> {
+        for (int m = 0; m < kMsgsPerPeer; ++m) {
+          for (int j = 0; j < kNodes; ++j) {
+            if (j == self || (ring && j != (self + 1) % kNodes)) continue;
+            co_await ep.send(j, 0, msg);
+          }
         }
-      }
-    }(*eps[i], ByteSpan{payload}, i, kMsgsPerPeer));
-    cl.spawn_on(i, [](fm2::Endpoint& ep, int& g, int want) -> sim::Task<void> {
-      co_await ep.poll_until([&g, want] { return g == want; });
-    }(*eps[i], got[i], kMsgsPerPeer * (kNodes - 1)));
+      }(*eps[i], ByteSpan{payload}, i, pattern == Pattern::kRing));
+      cl.spawn_on(i, [](fm2::Endpoint& ep, int& g,
+                        int want) -> sim::Task<void> {
+        co_await ep.poll_until([&g, want] { return g == want; });
+      }(*eps[i], got[i], kMsgsPerPeer * peers));
+    }
+    const auto r = cl.run(threads);
+    ASSERT_EQ(r.pending_roots, 0);
+    for (int i = 0; i < kNodes; ++i) EXPECT_EQ(got[i], kMsgsPerPeer * peers);
   }
-  const auto r = cl.run(threads);
-  ASSERT_EQ(r.pending_roots, 0);
-}
+};
 
-TEST(ParallelAlloc, SteadyStateAllocationFreeAt4Threads) {
-  auto params = net::ppro_fm2_cluster(kNodes);
-  net::ParallelCluster cl(params);
-  ASSERT_EQ(cl.n_shards(), kNodes);
+/// Runs the warmup wave, then an identical measured wave; returns the heap
+/// allocations of the measured wave. `size_of` maps the endpoints' per-packet
+/// payload to the message size.
+template <typename SizeFn>
+std::uint64_t measured_allocs(int shards, int threads, Pattern pattern,
+                              SizeFn size_of) {
+  net::ParallelCluster cl(net::ppro_fm2_cluster(kNodes), shards);
+  EXPECT_EQ(cl.n_shards(), shards);
   std::vector<std::unique_ptr<fm2::Endpoint>> eps;
   for (int i = 0; i < kNodes; ++i) {
     eps.push_back(
         std::make_unique<fm2::Endpoint>(cl.node(i), cl.fabric_of(i)));
   }
+  const std::size_t size = size_of(eps[0]->max_payload_per_packet());
   std::vector<int> got(kNodes, 0);
-  std::vector<Bytes> sink(kNodes, Bytes(kMsgSize));
+  std::vector<Bytes> sink(kNodes, Bytes(size));
   for (int i = 0; i < kNodes; ++i) {
     eps[i]->register_handler(
         0, [&sink, &got, i](fm2::RecvStream& s, int) -> fm2::HandlerTask {
@@ -66,20 +88,64 @@ TEST(ParallelAlloc, SteadyStateAllocationFreeAt4Threads) {
           ++got[i];
         });
   }
-  const Bytes payload = pattern_bytes(11, kMsgSize);
+  const Bytes payload = pattern_bytes(11, size);
+  Wave wave{cl, eps, got, pattern, threads};
 
   // Warm every pool and spawn the persistent worker threads.
-  wave(cl, eps, got, payload, /*threads=*/4);
+  wave.run(payload);
 
   bench::alloc_hook_reset();
-  wave(cl, eps, got, payload, /*threads=*/4);
-  EXPECT_EQ(bench::alloc_hook_count(), 0u)
+  wave.run(payload);
+  return bench::alloc_hook_count();
+}
+
+TEST(ParallelAlloc, SteadyStateAllocationFreeAt4Threads) {
+  EXPECT_EQ(measured_allocs(kNodes, 4, Pattern::kAllToAll,
+                            [](std::size_t) { return std::size_t{1024}; }),
+            0u)
       << "sharded steady state allocated: a per-event/per-quantum/per-park "
          "allocation crept back into the parallel hot path";
-  for (int i = 0; i < kNodes; ++i) {
-    EXPECT_EQ(got[i], kMsgsPerPeer * (kNodes - 1));
-  }
 }
+
+// Message size as a multiple of the FM 2.x per-packet payload ("MTU": the
+// largest message that fits one packet) plus a byte offset.
+struct SizeCase {
+  const char* name;
+  int mtus;
+  int plus;
+};
+constexpr SizeCase kSizeGrid[] = {
+    {"0B", 0, 0},          {"1B", 0, 1},   {"MtuMinus1", 1, -1},
+    {"Mtu", 1, 0},         {"MtuPlus1", 1, 1}, {"64KB", 0, 64 * 1024},
+};
+
+using GridParam = std::tuple<int /*size case*/, Pattern, int /*shards*/>;
+
+class ParallelAllocGrid : public ::testing::TestWithParam<GridParam> {};
+
+TEST_P(ParallelAllocGrid, SteadyStateAllocationFree) {
+  const auto [size_case, pattern, shards] = GetParam();
+  const SizeCase sc = kSizeGrid[size_case];
+  const std::uint64_t allocs = measured_allocs(
+      shards, shards == 1 ? 1 : 4, pattern, [sc](std::size_t mtu) {
+        return static_cast<std::size_t>(static_cast<long>(mtu) * sc.mtus +
+                                        sc.plus);
+      });
+  EXPECT_EQ(allocs, 0u) << sc.name << " messages allocated in steady state";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Grid, ParallelAllocGrid,
+    ::testing::Combine(::testing::Range(0, static_cast<int>(
+                                               std::size(kSizeGrid))),
+                       ::testing::Values(Pattern::kAllToAll, Pattern::kRing),
+                       ::testing::Values(1, 4)),
+    [](const auto& pinfo) {
+      const SizeCase& sc = kSizeGrid[std::get<0>(pinfo.param)];
+      const bool ring = std::get<1>(pinfo.param) == Pattern::kRing;
+      return std::string(sc.name) + (ring ? "_Ring_" : "_AllToAll_") +
+             std::to_string(std::get<2>(pinfo.param)) + "Shards";
+    });
 
 }  // namespace
 }  // namespace fmx

@@ -10,6 +10,7 @@
 
 #include "mpi/mpi_fm1.hpp"
 #include "mpi/mpi_fm2.hpp"
+#include "myrinet/parallel_cluster.hpp"
 
 namespace fmx::mpi {
 namespace {
@@ -20,23 +21,30 @@ using sim::Task;
 enum class Backend { kFm1, kFm2 };
 
 struct World {
-  World(Backend be, int n) {
-    params = be == Backend::kFm1 ? net::sparc_fm1_cluster(n)
-                                 : net::ppro_fm2_cluster(n);
-    cluster = std::make_unique<net::Cluster>(eng, params);
+  World(Backend be, int n)
+      : params(be == Backend::kFm1 ? net::sparc_fm1_cluster(n)
+                                   : net::ppro_fm2_cluster(n)),
+        cluster(params),
+        eng(cluster.shard_engine(0)) {
     for (int i = 0; i < n; ++i) {
       if (be == Backend::kFm1) {
-        comms.push_back(std::make_unique<MpiFm1>(*cluster, i));
+        fm1_eps.push_back(std::make_unique<fm1::Endpoint>(
+            cluster.node(i), cluster.fabric_of(i)));
+        comms.push_back(std::make_unique<MpiFm1>(*fm1_eps.back()));
       } else {
-        comms.push_back(std::make_unique<MpiFm2>(*cluster, i));
+        fm2_eps.push_back(std::make_unique<fm2::Endpoint>(
+            cluster.node(i), cluster.fabric_of(i)));
+        comms.push_back(std::make_unique<MpiFm2>(*fm2_eps.back()));
       }
     }
   }
   Comm& c(int i) { return *comms[i]; }
 
-  Engine eng;
   net::ClusterParams params;
-  std::unique_ptr<net::Cluster> cluster;
+  net::ParallelCluster cluster;
+  Engine& eng;
+  std::vector<std::unique_ptr<fm1::Endpoint>> fm1_eps;
+  std::vector<std::unique_ptr<fm2::Endpoint>> fm2_eps;
   std::vector<std::unique_ptr<Comm>> comms;
 };
 
@@ -661,12 +669,14 @@ TEST(MpiFm2Specific, PostedPayloadBytesCopiedExactlyOnce) {
 // --- Rendezvous protocol (MPI-FM 2 extension) -------------------------------
 
 TEST(MpiFm2Rendezvous, LargeMessageRoundTrip) {
-  Engine eng;
   auto params = net::ppro_fm2_cluster(2);
-  net::Cluster cluster(eng, params);
+  net::ParallelCluster cluster(params);
+  Engine& eng = cluster.shard_engine(0);
   MpiFm2Options opt;
   opt.eager_threshold = 4096;
-  MpiFm2 tx(cluster, 0, {}, opt), rx(cluster, 1, {}, opt);
+  fm2::Endpoint ep0(cluster.node(0), cluster.fabric_of(0));
+  fm2::Endpoint ep1(cluster.node(1), cluster.fabric_of(1));
+  MpiFm2 tx(ep0, opt), rx(ep1, opt);
   constexpr std::size_t kBig = 64 * 1024;
   bool done = false;
   eng.spawn([](Comm& c, bool& d) -> Task<void> {
@@ -686,11 +696,13 @@ TEST(MpiFm2Rendezvous, LargeMessageRoundTrip) {
 }
 
 TEST(MpiFm2Rendezvous, UnexpectedRtsWaitsForPostedBuffer) {
-  Engine eng;
-  net::Cluster cluster(eng, net::ppro_fm2_cluster(2));
+  net::ParallelCluster cluster(net::ppro_fm2_cluster(2));
+  Engine& eng = cluster.shard_engine(0);
   MpiFm2Options opt;
   opt.eager_threshold = 1024;
-  MpiFm2 tx(cluster, 0, {}, opt), rx(cluster, 1, {}, opt);
+  fm2::Endpoint ep0(cluster.node(0), cluster.fabric_of(0));
+  fm2::Endpoint ep1(cluster.node(1), cluster.fabric_of(1));
+  MpiFm2 tx(ep0, opt), rx(ep1, opt);
   constexpr std::size_t kBig = 32 * 1024;
   bool done = false;
   // Sender goes first: the RTS arrives before any receive is posted.
@@ -718,11 +730,13 @@ TEST(MpiFm2Rendezvous, UnexpectedLargeMessageIsNotStaged) {
   // Eager: a 32 KB unexpected message costs a 32 KB staging copy.
   // Rendezvous: only the 24 B envelope queues; zero payload staging.
   auto staged_bytes = [](std::size_t threshold) {
-    Engine eng;
-    net::Cluster cluster(eng, net::ppro_fm2_cluster(2));
+    net::ParallelCluster cluster(net::ppro_fm2_cluster(2));
+    Engine& eng = cluster.shard_engine(0);
     MpiFm2Options opt;
     opt.eager_threshold = threshold;
-    MpiFm2 tx(cluster, 0, {}, opt), rx(cluster, 1, {}, opt);
+    fm2::Endpoint ep0(cluster.node(0), cluster.fabric_of(0));
+    fm2::Endpoint ep1(cluster.node(1), cluster.fabric_of(1));
+    MpiFm2 tx(ep0, opt), rx(ep1, opt);
     constexpr std::size_t kBig = 32 * 1024;
     bool done = false;
     eng.spawn([](Comm& c) -> Task<void> {
@@ -750,11 +764,13 @@ TEST(MpiFm2Rendezvous, UnexpectedLargeMessageIsNotStaged) {
 }
 
 TEST(MpiFm2Rendezvous, MixedEagerAndRendezvousStayOrdered) {
-  Engine eng;
-  net::Cluster cluster(eng, net::ppro_fm2_cluster(2));
+  net::ParallelCluster cluster(net::ppro_fm2_cluster(2));
+  Engine& eng = cluster.shard_engine(0);
   MpiFm2Options opt;
   opt.eager_threshold = 1000;
-  MpiFm2 tx(cluster, 0, {}, opt), rx(cluster, 1, {}, opt);
+  fm2::Endpoint ep0(cluster.node(0), cluster.fabric_of(0));
+  fm2::Endpoint ep1(cluster.node(1), cluster.fabric_of(1));
+  MpiFm2 tx(ep0, opt), rx(ep1, opt);
   const std::vector<std::size_t> sizes = {64, 8000, 128, 12000, 16};
   bool done = false;
   eng.spawn([](Comm& c, const std::vector<std::size_t>& sz) -> Task<void> {
@@ -780,11 +796,13 @@ TEST(MpiFm2Rendezvous, MixedEagerAndRendezvousStayOrdered) {
 }
 
 TEST(MpiFm2Rendezvous, SendrecvExchangeOfLargeMessages) {
-  Engine eng;
-  net::Cluster cluster(eng, net::ppro_fm2_cluster(2));
+  net::ParallelCluster cluster(net::ppro_fm2_cluster(2));
+  Engine& eng = cluster.shard_engine(0);
   MpiFm2Options opt;
   opt.eager_threshold = 2048;
-  MpiFm2 a(cluster, 0, {}, opt), b(cluster, 1, {}, opt);
+  fm2::Endpoint ep0(cluster.node(0), cluster.fabric_of(0));
+  fm2::Endpoint ep1(cluster.node(1), cluster.fabric_of(1));
+  MpiFm2 a(ep0, opt), b(ep1, opt);
   constexpr std::size_t kBig = 20'000;
   int done = 0;
   Comm* comms[2] = {&a, &b};

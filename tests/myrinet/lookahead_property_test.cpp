@@ -74,13 +74,13 @@ void check_matrix(net::ClusterParams params, int n_shards) {
 
 TEST(LookaheadMatrix, ConservativeAndClosedAcrossTopologies) {
   for (const int n_hosts : {4, 8, 16, 24}) {
-    for (const int n_shards : {2, 3, 0 /* one shard per node */}) {
+    for (const int n_shards : {2, 3, n_hosts /* one shard per node */}) {
       SCOPED_TRACE("ppro n_hosts=" + std::to_string(n_hosts) +
                    " n_shards=" + std::to_string(n_shards));
       check_matrix(net::ppro_fm2_cluster(n_hosts), n_shards);
     }
     SCOPED_TRACE("sparc n_hosts=" + std::to_string(n_hosts));
-    check_matrix(net::sparc_fm1_cluster(n_hosts), 0);
+    check_matrix(net::sparc_fm1_cluster(n_hosts), n_hosts);
   }
 }
 

@@ -5,6 +5,7 @@
 #include <memory>
 
 #include "ga/global_array.hpp"
+#include "myrinet/parallel_cluster.hpp"
 
 namespace fmx::shmem {
 namespace {
@@ -14,15 +15,18 @@ using sim::Task;
 
 struct World {
   explicit World(int n, Config cfg = {})
-      : cluster(eng, net::ppro_fm2_cluster(n)) {
+      : cluster(net::ppro_fm2_cluster(n)), eng(cluster.shard_engine(0)) {
     for (int i = 0; i < n; ++i) {
-      pes.push_back(std::make_unique<ShmemCtx>(cluster, i, cfg));
+      eps.push_back(std::make_unique<fm2::Endpoint>(cluster.node(i),
+                                                    cluster.fabric_of(i)));
+      pes.push_back(std::make_unique<ShmemCtx>(*eps.back(), cfg));
     }
   }
   ShmemCtx& pe(int i) { return *pes[i]; }
 
-  Engine eng;
-  net::Cluster cluster;
+  net::ParallelCluster cluster;
+  Engine& eng;
+  std::vector<std::unique_ptr<fm2::Endpoint>> eps;
   std::vector<std::unique_ptr<ShmemCtx>> pes;
 };
 

@@ -4,6 +4,8 @@
 
 #include <memory>
 
+#include "myrinet/parallel_cluster.hpp"
+
 namespace fmx::sock {
 namespace {
 
@@ -11,14 +13,18 @@ using sim::Engine;
 using sim::Task;
 
 struct World {
-  World() : cluster(eng, net::ppro_fm2_cluster(2)) {
+  World()
+      : cluster(net::ppro_fm2_cluster(2)), eng(cluster.shard_engine(0)) {
     for (int i = 0; i < 2; ++i) {
-      stacks.push_back(std::make_unique<SocketFm>(cluster, i));
+      eps.push_back(std::make_unique<fm2::Endpoint>(cluster.node(i),
+                                                    cluster.fabric_of(i)));
+      stacks.push_back(std::make_unique<SocketFm>(*eps.back()));
     }
     stacks[1]->listen(9);
   }
-  Engine eng;
-  net::Cluster cluster;
+  net::ParallelCluster cluster;
+  Engine& eng;
+  std::vector<std::unique_ptr<fm2::Endpoint>> eps;
   std::vector<std::unique_ptr<SocketFm>> stacks;
 };
 

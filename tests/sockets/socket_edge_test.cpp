@@ -4,6 +4,8 @@
 
 #include <memory>
 
+#include "myrinet/parallel_cluster.hpp"
+
 #include "sockets/socket_fm.hpp"
 
 namespace fmx::sock {
@@ -14,14 +16,17 @@ using sim::Task;
 
 struct World {
   explicit World(int n, Config cfg = {})
-      : cluster(eng, net::ppro_fm2_cluster(n)) {
+      : cluster(net::ppro_fm2_cluster(n)), eng(cluster.shard_engine(0)) {
     for (int i = 0; i < n; ++i) {
-      stacks.push_back(std::make_unique<SocketFm>(cluster, i, cfg));
+      eps.push_back(std::make_unique<fm2::Endpoint>(cluster.node(i),
+                                                    cluster.fabric_of(i)));
+      stacks.push_back(std::make_unique<SocketFm>(*eps.back(), cfg));
     }
   }
   SocketFm& at(int i) { return *stacks[i]; }
-  Engine eng;
-  net::Cluster cluster;
+  net::ParallelCluster cluster;
+  Engine& eng;
+  std::vector<std::unique_ptr<fm2::Endpoint>> eps;
   std::vector<std::unique_ptr<SocketFm>> stacks;
 };
 

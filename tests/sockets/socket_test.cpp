@@ -4,6 +4,8 @@
 
 #include <memory>
 
+#include "myrinet/parallel_cluster.hpp"
+
 namespace fmx::sock {
 namespace {
 
@@ -11,16 +13,19 @@ using sim::Engine;
 using sim::Task;
 
 struct World {
-  explicit World(int n, Config cfg = {}) : cluster(eng,
-                                                   net::ppro_fm2_cluster(n)) {
+  explicit World(int n, Config cfg = {}, fm2::Config fm_cfg = {})
+      : cluster(net::ppro_fm2_cluster(n)), eng(cluster.shard_engine(0)) {
     for (int i = 0; i < n; ++i) {
-      stacks.push_back(std::make_unique<SocketFm>(cluster, i, cfg));
+      eps.push_back(std::make_unique<fm2::Endpoint>(
+          cluster.node(i), cluster.fabric_of(i), fm_cfg));
+      stacks.push_back(std::make_unique<SocketFm>(*eps.back(), cfg));
     }
   }
   SocketFm& at(int i) { return *stacks[i]; }
 
-  Engine eng;
-  net::Cluster cluster;
+  net::ParallelCluster cluster;
+  Engine& eng;
+  std::vector<std::unique_ptr<fm2::Endpoint>> eps;
   std::vector<std::unique_ptr<SocketFm>> stacks;
 };
 
@@ -215,9 +220,9 @@ TEST(SocketFm, SendAfterCloseThrows) {
 }
 
 TEST(SocketFm, ReceiverPacingStallsSender) {
-  Config cfg;
-  cfg.fm.credits_per_peer = 4;
-  World w(2, cfg);
+  fm2::Config fm_cfg;
+  fm_cfg.credits_per_peer = 4;
+  World w(2, {}, fm_cfg);
   w.at(1).listen(2);
   int fragments_sent = 0;
   w.eng.spawn([](SocketFm& s, int& sent) -> Task<void> {

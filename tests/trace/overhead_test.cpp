@@ -14,6 +14,7 @@
 #include "bench/common/alloc_hook.hpp"
 #include "fm2/fm2.hpp"
 #include "myrinet/node.hpp"
+#include "myrinet/parallel_cluster.hpp"
 #include "tests/common/sim_fixture.hpp"
 #include "trace/trace.hpp"
 
@@ -39,9 +40,10 @@ void stream(Engine& eng, fm2::Endpoint& tx, fm2::Endpoint& rx, int& got,
 }
 
 TEST(TraceOverhead, SteadyStateAllocationFree) {
-  Engine eng;
-  net::Cluster cluster(eng, net::ppro_fm2_cluster(2));
-  fm2::Endpoint tx(cluster, 0), rx(cluster, 1);
+  net::ParallelCluster cluster(net::ppro_fm2_cluster(2));
+  Engine& eng = cluster.shard_engine(0);
+  fm2::Endpoint tx(cluster.node(0), cluster.fabric_of(0));
+  fm2::Endpoint rx(cluster.node(1), cluster.fabric_of(1));
   int got = 0;
   Bytes sink(kMsgSize);
   rx.register_handler(0, [&](fm2::RecvStream& s, int) -> fm2::HandlerTask {
@@ -61,7 +63,7 @@ TEST(TraceOverhead, SteadyStateAllocationFree) {
 
   // Tracing on: enable() preallocates the ring; the steady state must not
   // allocate either, even when the ring wraps and recycles chunks.
-  trace::Tracer& tracer = cluster.fabric().tracer();
+  trace::Tracer& tracer = cluster.shard_fabric(0).tracer();
   tracer.enable(/*capacity=*/8192);  // small: forces wraparound recycling
   stream(eng, tx, rx, got, msg, 50);  // warm the traced path
   bench::alloc_hook_reset();
