@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 
 #include "myrinet/parallel_cluster.hpp"
 #include "sim/engine.hpp"
@@ -334,28 +333,6 @@ double mpi_latency_us(MpiGen gen, const net::ClusterParams& cp,
   return gen == MpiGen::kFm1
              ? mpi_latency_impl<mpi::MpiFm1>(cp, msg_size, rounds)
              : mpi_latency_impl<mpi::MpiFm2>(cp, msg_size, rounds);
-}
-
-std::string cpu_model() {
-  std::FILE* f = std::fopen("/proc/cpuinfo", "r");
-  if (f == nullptr) return "unknown";
-  char line[256];
-  std::string model = "unknown";
-  while (std::fgets(line, sizeof(line), f) != nullptr) {
-    if (std::strncmp(line, "model name", 10) == 0) {
-      const char* colon = std::strchr(line, ':');
-      if (colon != nullptr) {
-        model = colon + 1;
-        while (!model.empty() && (model.front() == ' ' || model.front() == '\t'))
-          model.erase(model.begin());
-        while (!model.empty() && (model.back() == '\n' || model.back() == ' '))
-          model.pop_back();
-      }
-      break;
-    }
-  }
-  std::fclose(f);
-  return model;
 }
 
 double median(std::vector<double> v) {

@@ -85,11 +85,6 @@ void print_series(const std::string& title,
                   const std::vector<double>& values,
                   const std::string& unit);
 
-/// First "model name" line from /proc/cpuinfo ("unknown" elsewhere). The
-/// wall-clock JSON artifacts record it so a reader can judge whether two
-/// runs are comparable.
-std::string cpu_model();
-
 /// Median of `v` (by copy; v may be unsorted). 0 for an empty vector.
 double median(std::vector<double> v);
 

@@ -20,9 +20,10 @@
 // flow is concurrently in flight: open-loop overload is what puts mass in
 // the tails). Flow sizes are bounded-Pareto mice-and-elephants.
 //
-// Writes BENCH_fabric.json (gated by scripts/bench_check.py
-// --fabric-binary): per-thread-count events/sec + allocs/event + digest,
-// plus frames/event and per-layer p50/p99/p999 from the 1-thread run.
+// Writes BENCH_fabric.json in the shared report layout (bench_report.hpp;
+// gated by `scripts/bench_check.py fabric`): per-thread-count events/sec +
+// allocs/event + digest, plus frames/event and per-layer p50/p99/p999 from
+// the first run.
 //
 // Usage: fabric_scale [--hosts N] [--oversub O] [--flows-per-host F]
 //                     [--rate R] [--shards S] [--threads 1,2,4]
@@ -30,15 +31,15 @@
 //                     [--out path]
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "alloc_hook.hpp"
-#include "bench_util.hpp"
+#include "bench_report.hpp"
 #include "myrinet/parallel_cluster.hpp"
 #include "myrinet/topo.hpp"
 #include "sim/frame_pool.hpp"
@@ -211,69 +212,53 @@ int main(int argc, char** argv) {
                 lq.layer, lq.p50 / 1e6, lq.p99 / 1e6, lq.p999 / 1e6);
   }
 
-  std::FILE* f = std::fopen(a.out, "w");
-  if (f == nullptr) {
-    std::perror("fopen");
-    return 1;
-  }
-  std::fprintf(f,
-               "{\n"
-               "  \"workload\": \"fabric_traffic\",\n"
-               "  \"topology\": \"fat_tree\",\n"
-               "  \"radix\": %d,\n"
-               "  \"oversubscription\": %d,\n"
-               "  \"n_hosts\": %d,\n"
-               "  \"n_switches\": %d,\n"
-               "  \"shards\": %d,\n"
-               "  \"pattern\": \"%s\",\n"
-               "  \"size_dist\": \"%s\",\n"
-               "  \"mean_flow_bytes\": %.1f,\n"
-               "  \"flow_rate_per_host\": %g,\n"
-               "  \"flows_per_host\": %d,\n"
-               "  \"total_flows\": %llu,\n"
-               "  \"peak_concurrent_flows\": %llu,\n"
-               "  \"makespan_us\": %.3f,\n"
-               "  \"cpus\": %u,\n"
-               "  \"cpu_model\": \"%s\",\n",
-               params.fabric.fat_tree_radix, a.oversub, a.hosts,
-               topo.n_switches(), a.shards, workload::to_string(a.pattern),
-               cfg.sizes.name().data(), cfg.sizes.mean(), a.rate,
-               a.flows_per_host,
-               static_cast<unsigned long long>(sched.total_flows),
-               static_cast<unsigned long long>(ref.wave.peak_concurrent),
-               sim::to_us(ref.wave.makespan),
-               std::thread::hardware_concurrency(),
-               bench::cpu_model().c_str());
+  bench::Report rep("fabric");
+  rep.config()
+      .str("workload", "fabric_traffic")
+      .str("topology", "fat_tree")
+      .num("radix", params.fabric.fat_tree_radix)
+      .num("oversubscription", a.oversub)
+      .num("n_hosts", a.hosts)
+      .num("n_switches", topo.n_switches())
+      .num("shards", a.shards)
+      .str("pattern", workload::to_string(a.pattern))
+      .str("size_dist", cfg.sizes.name())
+      .num("mean_flow_bytes", cfg.sizes.mean(), 1)
+      .num("flow_rate_per_host", a.rate, 1)
+      .num("flows_per_host", a.flows_per_host);
+  rep.summary()
+      .num("total_flows", sched.total_flows)
+      .num("peak_concurrent_flows", ref.wave.peak_concurrent)
+      .num("makespan_us", sim::to_us(ref.wave.makespan), 3)
+      .flag("digest_ok", digest_ok);
   if (frames_per_event >= 0) {
-    std::fprintf(f, "  \"frames_per_event\": %.4f,\n", frames_per_event);
+    rep.summary().num("frames_per_event", frames_per_event, 4);
   }
-  std::fprintf(f, "  \"threads\": [\n");
   for (std::size_t k = 0; k < runs.size(); ++k) {
     const Measured& m = runs[k];
-    std::fprintf(f,
-                 "    {\"threads\": %d, \"events\": %llu, "
-                 "\"events_per_sec\": %.1f, \"allocs_per_event\": %.6f, "
-                 "\"digest\": \"%016llx\"}%s\n",
-                 a.threads[k],
-                 static_cast<unsigned long long>(m.wave.events),
-                 m.wave.events / m.wall_s,
-                 static_cast<double>(m.allocs) / m.wave.events,
-                 static_cast<unsigned long long>(m.wave.digest),
-                 k + 1 < runs.size() ? "," : "");
+    rep.row("threads")
+        .num("threads", a.threads[k])
+        .num("events", m.wave.events)
+        .num("events_per_sec", m.wave.events / m.wall_s, 1)
+        .num("allocs_per_event",
+             static_cast<double>(m.allocs) / m.wave.events, 6)
+        .hex("digest", m.wave.digest);
   }
-  std::fprintf(f, "  ],\n  \"layers\": [\n");
-  for (std::size_t l = 0; l < ref.wave.layers.size(); ++l) {
-    const auto& lq = ref.wave.layers[l];
-    std::fprintf(f,
-                 "    {\"layer\": \"%s\", \"count\": %llu, "
-                 "\"p50_us\": %.3f, \"p99_us\": %.3f, \"p999_us\": %.3f}%s\n",
-                 lq.layer, static_cast<unsigned long long>(lq.count),
-                 lq.p50 / 1e6, lq.p99 / 1e6, lq.p999 / 1e6,
-                 l + 1 < ref.wave.layers.size() ? "," : "");
+  // Per layer: every flow observed once, and finite ordered quantiles (a
+  // NaN or inverted tail means the histogram plumbing broke, which the
+  // digest alone cannot see).
+  for (const auto& lq : ref.wave.layers) {
+    const double p50 = lq.p50 / 1e6, p99 = lq.p99 / 1e6, p999 = lq.p999 / 1e6;
+    rep.row("layers")
+        .str("layer", lq.layer)
+        .num("count", lq.count)
+        .num("p50_us", p50, 3)
+        .num("p99_us", p99, 3)
+        .num("p999_us", p999, 3)
+        .flag("complete", sched.total_flows > 0 && lq.count == sched.total_flows)
+        .flag("quantiles_ordered", std::isfinite(p999) && 0 <= p50 &&
+                                       p50 <= p99 && p99 <= p999);
   }
-  std::fprintf(f, "  ],\n  \"digest_ok\": %s\n}\n",
-               digest_ok ? "true" : "false");
-  std::fclose(f);
-  std::printf("wrote %s\n", a.out);
+  if (!rep.write(a.out)) return 1;
   return digest_ok ? 0 : 1;
 }

@@ -6,31 +6,34 @@
 // one host per shard there is no local work at all and every shard's event
 // density is capped by a single simulated CPU, which measures the
 // degenerate worst case rather than the regime sharding is for.
-// Writes BENCH_parallel.json:
-//   - serial_events_per_sec:  one-shard cluster at 1 thread (the reference
-//     model: every node and the whole fabric on one engine)
-//   - per-thread-count events/sec for ParallelCluster at 1/2/4/8 threads,
-//     with a determinism digest that must be identical across all of them,
-//     plus the two synchronization meters of the published-horizon
-//     scheduler: events_per_window (events executed across the cluster per
-//     window-equivalent of simulated progress — events * n_shards divided
-//     by the count of non-empty per-shard advance quanta; the same units
-//     as the retired barrier scheme's events-per-global-window, which sat
-//     around 10) and barrier_crossings (condvar parks — the only
-//     remaining mutex crossings)
-//   - shard_tax_pct: how much the 8-shard model at 1 thread gives up vs
-//     the one-shard serial run (horizon publishes + cross-shard copies)
-//   - allocs_per_event per thread count (steady state; per-shard pools and
-//     the persistent worker pool keep this at exactly 0)
-//   - ring: the same sweep on the neighbor-exchange workload, where the
-//     per-pair lookahead matrix lets distant shards synchronize loosely
-//   - cpus / cpu_model: speedup is only meaningful when the machine
-//     actually has the cores; scripts/bench_check.py gates on this.
+// Writes BENCH_parallel.json in the shared report layout (bench_report.hpp),
+// one set of rows per message size:
+//   - rows.sizes: the one-shard cluster at 1 thread (serial_events_per_sec,
+//     the reference model: every node and the whole fabric on one engine),
+//     the 4-thread speedups, and shard_tax_pct — how much the 8-shard model
+//     at 1 thread gives up vs that serial run (horizon publishes +
+//     cross-shard copies)
+//   - rows.alltoall / rows.ring: per-thread-count events/sec for the 8-shard
+//     cluster at 1/2/4/8 threads, with a determinism digest that must be
+//     identical across all of them (summary.digest_ok), allocs_per_event
+//     (steady state; per-shard pools and the persistent worker pool keep
+//     this at exactly 0), and the two synchronization meters of the
+//     published-horizon scheduler: events_per_window (events executed
+//     across the cluster per window-equivalent of simulated progress —
+//     events * n_shards divided by the count of non-empty per-shard
+//     advance quanta; the retired barrier scheme's events-per-global-window
+//     sat around 10) and barrier_crossings (condvar parks — the only
+//     remaining mutex crossings). The ring is the workload where the
+//     per-pair lookahead matrix lets distant shards synchronize loosely.
+//   - machine.cpus: speedup is only meaningful when the machine actually
+//     has the cores; scripts/bench_check.py arms that gate on it.
 //
 // Every wall-clock figure is the median of `repetitions` (default 5)
-// measured waves per configuration; alloc counts are maxima across waves.
+// measured waves per configuration, each after a warm-up wave of the same
+// size; alloc counts are maxima across waves.
 //
-// Usage: parallel_scaling [msg_size] [msgs_per_pair] [out.json] [repetitions]
+// Usage: parallel_scaling [msg_sizes] [msgs_per_pair] [out.json] [repetitions]
+//   msg_sizes is one size or a comma list (e.g. 0,1024; default 1024).
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -42,6 +45,7 @@
 #include <vector>
 
 #include "alloc_hook.hpp"
+#include "bench_report.hpp"
 #include "bench_util.hpp"
 #include "fm2/fm2.hpp"
 #include "myrinet/parallel_cluster.hpp"
@@ -132,7 +136,7 @@ struct Measured {
 };
 
 Measured run_parallel(int shards, int threads, std::size_t msg_size,
-                      int per_pair, int warmup_pairs, int reps, bool ring) {
+                      int per_pair, int reps, bool ring) {
   auto params = net::ppro_fm2_cluster(kHosts);
   // Deep host receive region (FM 2.x keeps flow-control state in host
   // memory precisely so the receive window can be large): the default 64
@@ -165,7 +169,10 @@ Measured run_parallel(int shards, int threads, std::size_t msg_size,
     return r.events;
   };
 
-  wave(warmup_pairs);  // warm pools and spawn the persistent worker pool
+  // Warm up with a wave as large as a measured one, so pools, receive
+  // rings and channel queues reach the measured high-water mark before the
+  // first measured rep; this also spawns the persistent worker pool.
+  wave(per_pair);
   std::vector<double> walls;
   for (int r = 0; r < reps; ++r) {
     bench::alloc_hook_reset();
@@ -194,27 +201,32 @@ Measured run_parallel(int shards, int threads, std::size_t msg_size,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::size_t msg_size =
-      argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 1024;
+  std::vector<std::size_t> sizes;
+  for (const char* p = argc > 1 ? argv[1] : "1024"; *p != '\0';) {
+    char* end = nullptr;
+    sizes.push_back(std::strtoull(p, &end, 10));
+    if (end == p || (*end != ',' && *end != '\0')) {
+      std::fprintf(stderr, "bad message size list: %s\n", argv[1]);
+      return 2;
+    }
+    p = *end == ',' ? end + 1 : end;
+  }
   const int per_pair = argc > 2 ? std::atoi(argv[2]) : 100;
   const char* out_path = argc > 3 ? argv[3] : "BENCH_parallel.json";
   const int reps = std::max(argc > 4 ? std::atoi(argv[4]) : 5, 1);
-  const int warmup_pairs = std::max(1, per_pair / 8);
   const int thread_counts[] = {1, 2, 4, 8};
-  const unsigned cpus = std::thread::hardware_concurrency();
   const sim::Ps lookahead =
       net::Fabric::cross_lookahead(net::ppro_fm2_cluster(kHosts).fabric);
 
-  std::printf("parallel_scaling: %d-node all-to-all, %d msgs/pair x %zu B, "
-              "%d reps (medians), %u cpu(s), lookahead %.0f ns\n",
-              kHosts, per_pair, msg_size, reps, cpus, sim::to_ns(lookahead));
-
-  const Measured serial =
-      run_parallel(1, 1, msg_size, per_pair, warmup_pairs, reps, false);
-  const double serial_eps = serial.events / serial.wall_s;
-  std::printf("  serial engine      %9.3g events/sec (%llu events, %.3f s)\n",
-              serial_eps, static_cast<unsigned long long>(serial.events),
-              serial.wall_s);
+  bench::Report rep("parallel");
+  rep.config()
+      .str("workload", "fm2_alltoall_stream")
+      .str("ring_workload", "fm2_ring_exchange")
+      .num("n_hosts", kHosts)
+      .num("shards", kShards)
+      .num("msgs_per_pair", per_pair)
+      .num("repetitions", reps)
+      .num("lookahead_ps", lookahead);
 
   // Events per cluster window-equivalent: windows counts non-empty
   // per-shard quanta, so one "every shard stepped once" stretch
@@ -223,97 +235,70 @@ int main(int argc, char** argv) {
     return static_cast<double>(m.events) * kShards / m.windows;
   };
 
-  auto sweep = [&](const char* name, bool ring, Measured (&out)[4],
-                   double (&eps)[4]) {
-    bool ok = true;
-    for (int k = 0; k < 4; ++k) {
-      out[k] = run_parallel(kShards, thread_counts[k], msg_size, per_pair,
-                            warmup_pairs, reps, ring);
-      eps[k] = out[k].events / out[k].wall_s;
-      if (out[k].digest != out[0].digest || out[k].events != out[0].events) {
-        ok = false;
+  bool digest_ok = true;
+  for (const std::size_t msg_size : sizes) {
+    std::printf("parallel_scaling: %d-node all-to-all, %d msgs/pair x %zu B, "
+                "%d reps (medians), %u cpu(s), lookahead %.0f ns\n",
+                kHosts, per_pair, msg_size, reps,
+                std::thread::hardware_concurrency(), sim::to_ns(lookahead));
+    const Measured serial =
+        run_parallel(1, 1, msg_size, per_pair, reps, false);
+    const double serial_eps = serial.events / serial.wall_s;
+    std::printf("  serial engine      %9.3g events/sec (%llu events, "
+                "%.3f s)\n",
+                serial_eps, static_cast<unsigned long long>(serial.events),
+                serial.wall_s);
+
+    // One thread-count sweep on 8 shards; returns events/sec per count.
+    auto sweep = [&](const char* table, bool ring) {
+      std::vector<double> eps;
+      Measured first;
+      for (int k = 0; k < 4; ++k) {
+        const Measured m = run_parallel(kShards, thread_counts[k], msg_size,
+                                        per_pair, reps, ring);
+        if (k == 0) first = m;
+        if (m.digest != first.digest || m.events != first.events) {
+          digest_ok = false;
+        }
+        eps.push_back(m.events / m.wall_s);
+        const double allocs = static_cast<double>(m.allocs) / m.events;
+        std::printf("  %-8s %d thread  %9.3g events/sec (digest %016llx, "
+                    "%.4f allocs/event, %.0f events/window, %llu parks)\n",
+                    table, thread_counts[k], eps[k],
+                    static_cast<unsigned long long>(m.digest), allocs, epw(m),
+                    static_cast<unsigned long long>(m.barrier_crossings));
+        rep.row(table)
+            .num("msg_size", msg_size)
+            .num("threads", thread_counts[k])
+            .num("events_per_sec", eps[k], 1)
+            .num("allocs_per_event", allocs, 6)
+            .num("windows", m.windows)
+            .num("events_per_window", epw(m), 2)
+            .num("barrier_crossings", m.barrier_crossings)
+            .hex("digest", m.digest);
       }
-      std::printf("  %s %d thread  %9.3g events/sec (digest %016llx, "
-                  "%.4f allocs/event, %.0f events/window, %llu parks)\n",
-                  name, thread_counts[k], eps[k],
-                  static_cast<unsigned long long>(out[k].digest),
-                  static_cast<double>(out[k].allocs) / out[k].events,
-                  epw(out[k]),
-                  static_cast<unsigned long long>(out[k].barrier_crossings));
-    }
-    return ok;
-  };
+      return std::pair{eps, epw(first)};
+    };
+    const auto [par_eps, par_epw] = sweep("alltoall", false);
+    const auto [rng_eps, rng_epw] = sweep("ring", true);
 
-  Measured par[4], rng[4];
-  double par_eps[4], rng_eps[4];
-  const bool a2a_ok = sweep("alltoall", false, par, par_eps);
-  const bool ring_ok = sweep("ring    ", true, rng, rng_eps);
-  const bool digest_ok = a2a_ok && ring_ok;
-
-  const double speedup_4t = par_eps[2] / par_eps[0];
-  const double ring_speedup_4t = rng_eps[2] / rng_eps[0];
-  const double shard_tax_pct = 100.0 * (serial_eps - par_eps[0]) / serial_eps;
-  std::printf("  speedup at 4 threads: %.2fx alltoall, %.2fx ring; shard "
-              "tax %.1f%%; digests %s\n",
-              speedup_4t, ring_speedup_4t, shard_tax_pct,
-              digest_ok ? "identical" : "DIVERGED");
-
-  std::FILE* f = std::fopen(out_path, "w");
-  if (f == nullptr) {
-    std::perror("fopen");
-    return 1;
+    const double speedup_4t = par_eps[2] / par_eps[0];
+    const double ring_speedup_4t = rng_eps[2] / rng_eps[0];
+    const double shard_tax_pct =
+        100.0 * (serial_eps - par_eps[0]) / serial_eps;
+    std::printf("  speedup at 4 threads: %.2fx alltoall, %.2fx ring; shard "
+                "tax %.1f%%\n",
+                speedup_4t, ring_speedup_4t, shard_tax_pct);
+    rep.row("sizes")
+        .num("msg_size", msg_size)
+        .num("serial_events", serial.events)
+        .num("serial_events_per_sec", serial_eps, 1)
+        .num("events_per_window", par_epw, 2)
+        .num("speedup_4t_vs_1t", speedup_4t, 3)
+        .num("ring_speedup_4t_vs_1t", ring_speedup_4t, 3)
+        .num("shard_tax_pct", shard_tax_pct, 2);
   }
-  auto emit_rows = [&](const Measured (&m)[4], const double (&eps)[4]) {
-    for (int k = 0; k < 4; ++k) {
-      std::fprintf(
-          f,
-          "    {\"threads\": %d, \"events_per_sec\": %.1f, "
-          "\"allocs_per_event\": %.6f, \"windows\": %llu, "
-          "\"events_per_window\": %.2f, \"barrier_crossings\": %llu, "
-          "\"digest\": \"%016llx\"}%s\n",
-          thread_counts[k], eps[k],
-          static_cast<double>(m[k].allocs) / m[k].events,
-          static_cast<unsigned long long>(m[k].windows), epw(m[k]),
-          static_cast<unsigned long long>(m[k].barrier_crossings),
-          static_cast<unsigned long long>(m[k].digest), k < 3 ? "," : "");
-    }
-  };
-  std::fprintf(f,
-               "{\n"
-               "  \"workload\": \"fm2_alltoall_stream\",\n"
-               "  \"n_hosts\": %d,\n"
-               "  \"msg_size\": %zu,\n"
-               "  \"msgs_per_pair\": %d,\n"
-               "  \"repetitions\": %d,\n"
-               "  \"cpus\": %u,\n"
-               "  \"cpu_model\": \"%s\",\n"
-               "  \"lookahead_ps\": %llu,\n"
-               "  \"serial_events_per_sec\": %.1f,\n"
-               "  \"serial_events\": %llu,\n"
-               "  \"threads\": [\n",
-               kHosts, msg_size, per_pair, reps, cpus,
-               bench::cpu_model().c_str(),
-               static_cast<unsigned long long>(lookahead), serial_eps,
-               static_cast<unsigned long long>(serial.events));
-  emit_rows(par, par_eps);
-  std::fprintf(f,
-               "  ],\n"
-               "  \"events_per_window\": %.2f,\n"
-               "  \"speedup_4t_vs_1t\": %.3f,\n"
-               "  \"shard_tax_pct\": %.2f,\n"
-               "  \"ring\": {\n"
-               "    \"workload\": \"fm2_ring_exchange\",\n"
-               "    \"speedup_4t_vs_1t\": %.3f,\n"
-               "    \"threads\": [\n",
-               epw(par[0]), speedup_4t, shard_tax_pct, ring_speedup_4t);
-  emit_rows(rng, rng_eps);
-  std::fprintf(f,
-               "    ]\n"
-               "  },\n"
-               "  \"digest_ok\": %s\n"
-               "}\n",
-               digest_ok ? "true" : "false");
-  std::fclose(f);
-  std::printf("wrote %s\n", out_path);
-  return digest_ok ? 0 : 1;
+  std::printf("digests %s\n", digest_ok ? "identical" : "DIVERGED");
+  rep.summary().flag("digest_ok", digest_ok);
+  return rep.write(out_path) && digest_ok ? 0 : 1;
 }

@@ -21,14 +21,16 @@
 // The crossover size — the smallest swept size where rendezvous/RDMA
 // one-way latency beats eager — is the number an MPI implementation would
 // use for its eager_threshold on this platform. Everything here is
-// simulated time, so the JSON artifact is bit-stable across machines and
-// scripts/bench_check.py --rendezvous-binary compares it exactly.
+// simulated time, so the JSON artifact (the shared report layout,
+// bench_report.hpp) is bit-stable across machines apart from its machine
+// block, and `scripts/bench_check.py rendezvous` compares it exactly.
 //
 // Usage: rendezvous_crossover [out.json]
 #include <cstdio>
 #include <cstring>
 #include <vector>
 
+#include "bench_report.hpp"
 #include "bench_util.hpp"
 #include "common/copy_stats.hpp"
 #include "mpi/mpi_fm2.hpp"
@@ -201,44 +203,30 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(proof.reg.misses),
               zero_copy_ok ? "ok" : "FAILED");
 
-  std::FILE* f = std::fopen(out_path, "w");
-  if (f == nullptr) {
-    std::perror("fopen");
-    return 1;
-  }
-  std::fprintf(f,
-               "{\n"
-               "  \"platform\": \"ppro_fm2_cluster(2)\",\n"
-               "  \"latency_rounds\": %d,\n"
-               "  \"bandwidth_msgs\": %d,\n"
-               "  \"crossover_bytes\": %zu,\n"
-               "  \"advantage_flips\": %d,\n"
-               "  \"zero_copy\": {\n"
-               "    \"hop_copies\": %llu,\n"
-               "    \"rdma_bytes\": %llu,\n"
-               "    \"payload_bytes\": %llu,\n"
-               "    \"endpoint_bytes\": %llu,\n"
-               "    \"reg_hits\": %llu,\n"
-               "    \"reg_misses\": %llu\n"
-               "  },\n"
-               "  \"sizes\": [\n",
-               kLatencyRounds, kBandwidthMsgs, crossover, sign_changes,
-               static_cast<unsigned long long>(proof.copies.hop_copies),
-               static_cast<unsigned long long>(proof.copies.rdma_bytes),
-               static_cast<unsigned long long>(payload_bytes),
-               static_cast<unsigned long long>(proof.copies.endpoint_bytes),
-               static_cast<unsigned long long>(proof.reg.hits),
-               static_cast<unsigned long long>(proof.reg.misses));
+  bench::Report rep("rendezvous");
+  rep.config()
+      .str("platform", "ppro_fm2_cluster(2)")
+      .num("latency_rounds", kLatencyRounds)
+      .num("bandwidth_msgs", kBandwidthMsgs);
+  rep.summary()
+      .num("crossover_bytes", crossover)
+      .num("advantage_flips", sign_changes)
+      .num("hop_copies", proof.copies.hop_copies)
+      .num("rdma_bytes", proof.copies.rdma_bytes)
+      .num("payload_bytes", payload_bytes)
+      .num("endpoint_bytes", proof.copies.endpoint_bytes)
+      .num("reg_hits", proof.reg.hits)
+      .num("reg_misses", proof.reg.misses)
+      .num("max_msg_bytes", kSizes[n_sizes - 1]);
   for (std::size_t i = 0; i < n_sizes; ++i) {
-    std::fprintf(f,
-                 "    {\"bytes\": %zu, \"eager_lat_us\": %.3f, "
-                 "\"rdma_lat_us\": %.3f, \"stream_lat_us\": %.3f, "
-                 "\"eager_bw_mbs\": %.3f, \"rdma_bw_mbs\": %.3f}%s\n",
-                 kSizes[i], eager_lat[i], rdma_lat[i], stream_lat[i],
-                 eager_bw[i], rdma_bw[i], i + 1 < n_sizes ? "," : "");
+    rep.row("sizes")
+        .num("bytes", kSizes[i])
+        .num("eager_lat_us", eager_lat[i], 3)
+        .num("rdma_lat_us", rdma_lat[i], 3)
+        .num("stream_lat_us", stream_lat[i], 3)
+        .num("eager_bw_mbs", eager_bw[i], 3)
+        .num("rdma_bw_mbs", rdma_bw[i], 3);
   }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("wrote %s\n", out_path);
-  return zero_copy_ok && sign_changes == 1 ? 0 : 1;
+  const bool wrote = rep.write(out_path);
+  return wrote && zero_copy_ok && sign_changes == 1 ? 0 : 1;
 }

@@ -27,21 +27,23 @@
 //     The host phases show thousands; that delta is the offload.
 //
 // Everything reported is simulated time, so the JSON artifact
-// (BENCH_collectives.json) is bit-stable across machines and
-// scripts/bench_check.py --collectives-binary compares overlapping rows
-// exactly; each (preset, ranks) configuration is an independent engine, so
-// a reduced --max-ranks sweep reproduces the committed rows verbatim.
+// (BENCH_collectives.json, the shared report layout of bench_report.hpp) is
+// bit-stable across machines apart from its machine block, and
+// `scripts/bench_check.py collectives` compares overlapping rows exactly;
+// each (preset, ranks) configuration is an independent engine, so a reduced
+// --max-ranks sweep reproduces the committed rows verbatim.
 //
 // Usage: scaling_collectives [--max-ranks N] [--out FILE]
 #include <array>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "alloc_hook.hpp"
-#include "bench_util.hpp"
+#include "bench_report.hpp"
 #include "mpi/mpi_fm2.hpp"
 #include "myrinet/node.hpp"
 #include "myrinet/parallel_cluster.hpp"
@@ -116,6 +118,14 @@ struct PhaseOut {
 };
 
 using Comms = std::vector<std::unique_ptr<mpi::MpiFm2>>;
+
+// Latencies are reported to 3 decimals; saved_us is the difference of the
+// reported values, so it is exactly what a reader derives from the row.
+double reported_us(double us) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.3f", us);
+  return std::strtod(buf, nullptr);
+}
 
 std::uint64_t handler_sum(const Comms& comms) {
   std::uint64_t n = 0;
@@ -281,38 +291,27 @@ int main(int argc, char** argv) {
               completions_ok ? "ok" : "FAILED",
               nic_quiet ? "ok" : "FAILED");
 
-  std::FILE* f = std::fopen(out_path.c_str(), "w");
-  if (f == nullptr) {
-    std::perror("fopen");
-    return 1;
+  bench::Report rep("collectives");
+  rep.config()
+      .num("iters", kIters)
+      .num("coll_radix", kCollRadix)
+      .num("bcast_bytes", kBcastBytes)
+      .num("reduce_doubles", kReduceDoubles);
+  rep.summary().flag("completions_ok", completions_ok);
+  for (const Row& row : rows) {
+    rep.row("results")
+        .str("preset", row.preset)
+        .num("ranks", row.ranks)
+        .str("op", op_name(row.op))
+        .num("host_us", row.host.us, 3)
+        .num("nic_us", row.nic.us, 3)
+        .num("speedup", row.host.us / row.nic.us, 3)
+        .num("saved_us", reported_us(row.host.us) - reported_us(row.nic.us),
+             3)
+        .num("nic_allocs", row.nic.allocs)
+        .num("nic_handler_starts", row.nic.handler_starts)
+        .num("host_handler_starts", row.host.handler_starts);
   }
-  std::fprintf(f,
-               "{\n"
-               "  \"iters\": %d,\n"
-               "  \"coll_radix\": %d,\n"
-               "  \"bcast_bytes\": %zu,\n"
-               "  \"reduce_doubles\": %zu,\n"
-               "  \"completions_ok\": %s,\n"
-               "  \"results\": [\n",
-               kIters, kCollRadix, kBcastBytes, kReduceDoubles,
-               completions_ok ? "true" : "false");
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const Row& row = rows[i];
-    std::fprintf(
-        f,
-        "    {\"preset\": \"%s\", \"ranks\": %d, \"op\": \"%s\", "
-        "\"host_us\": %.3f, \"nic_us\": %.3f, \"speedup\": %.3f, "
-        "\"nic_allocs\": %llu, \"nic_handler_starts\": %llu, "
-        "\"host_handler_starts\": %llu}%s\n",
-        row.preset, row.ranks, op_name(row.op), row.host.us, row.nic.us,
-        row.host.us / row.nic.us,
-        static_cast<unsigned long long>(row.nic.allocs),
-        static_cast<unsigned long long>(row.nic.handler_starts),
-        static_cast<unsigned long long>(row.host.handler_starts),
-        i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("wrote %s\n", out_path.c_str());
+  if (!rep.write(out_path)) return 1;
   return completions_ok && nic_quiet ? 0 : 1;
 }

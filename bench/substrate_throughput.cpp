@@ -3,7 +3,8 @@
 // two endpoints (handler dispatch, packetisation, credits, NIC programs,
 // link events — everything).
 //
-// Reports three numbers and writes them to BENCH_substrate.json:
+// Reports three headline numbers in the shared report layout
+// (bench_report.hpp), written to BENCH_substrate.json:
 //   - events_per_sec:     simulator events retired per wall-clock second
 //   - sim_bytes_per_sec:  simulated payload bytes streamed per wall second
 //     (how fast we chew through a bandwidth curve, the practical metric)
@@ -26,10 +27,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <thread>
 #include <vector>
 
 #include "alloc_hook.hpp"
+#include "bench_report.hpp"
 #include "bench_util.hpp"
 #include "common/copy_stats.hpp"
 #include "myrinet/parallel_cluster.hpp"
@@ -182,55 +183,32 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(modeled_copies),
               static_cast<unsigned long long>(modeled_copy_bytes));
 
-  std::FILE* f = std::fopen(out_path, "w");
-  if (!f) {
-    std::perror("fopen");
-    return 1;
-  }
-  std::fprintf(f,
-               "{\n"
-               "  \"workload\": \"fm2_ping_stream\",\n"
-               "  \"msg_size\": %zu,\n"
-               "  \"n_msgs\": %d,\n"
-               "  \"repetitions\": %d,\n"
-               "  \"threads\": 1,\n"
-               "  \"cpus\": %u,\n"
-               "  \"cpu_model\": \"%s\",\n"
-               "  \"events\": %llu,\n"
-               "  \"wall_seconds\": %.6f,\n"
-               "  \"sim_seconds\": %.9f,\n"
-               "  \"events_per_sec\": %.1f,\n"
-               "  \"sim_bytes_per_sec\": %.1f,\n"
-               "  \"allocs\": %llu,\n"
-               "  \"alloc_bytes\": %llu,\n"
-               "  \"allocs_per_event\": %.6f,\n"
-               "  \"traced_events_per_sec\": %.1f,\n"
-               "  \"traced_allocs_per_event\": %.6f,\n"
-               "  \"trace_overhead_pct\": %.2f,\n"
-               "  \"real_copies\": %llu,\n"
-               "  \"real_copy_bytes\": %llu,\n"
-               "  \"real_hop_copies\": %llu,\n"
-               "  \"real_hop_copy_bytes\": %llu,\n"
-               "  \"modeled_copies\": %llu,\n"
-               "  \"modeled_copy_bytes\": %llu\n"
-               "}\n",
-               msg_size, n_msgs, reps,
-               std::thread::hardware_concurrency(),
-               bench::cpu_model().c_str(),
-               static_cast<unsigned long long>(plain[0].events),
-               plain[0].events / events_per_sec, plain[0].sim_s,
-               events_per_sec, sim_bytes_per_sec,
-               static_cast<unsigned long long>(max_allocs),
-               static_cast<unsigned long long>(max_alloc_bytes),
-               allocs_per_event, traced_events_per_sec,
-               traced_allocs_per_event, trace_overhead_pct,
-               static_cast<unsigned long long>(real.endpoint_copies),
-               static_cast<unsigned long long>(real.endpoint_bytes),
-               static_cast<unsigned long long>(real.hop_copies),
-               static_cast<unsigned long long>(real.hop_bytes),
-               static_cast<unsigned long long>(modeled_copies),
-               static_cast<unsigned long long>(modeled_copy_bytes));
-  std::fclose(f);
-  std::printf("wrote %s\n", out_path);
-  return 0;
+  bench::Report rep("substrate");
+  rep.config()
+      .str("workload", "fm2_ping_stream")
+      .num("msg_size", msg_size)
+      .num("n_msgs", n_msgs)
+      .num("repetitions", reps)
+      .num("threads", 1);
+  rep.summary()
+      .num("events", plain[0].events)
+      .num("wall_seconds", plain[0].events / events_per_sec, 6)
+      .num("sim_seconds", plain[0].sim_s, 9)
+      .num("events_per_sec", events_per_sec, 1)
+      .num("sim_bytes_per_sec", sim_bytes_per_sec, 1)
+      .num("allocs", max_allocs)
+      .num("alloc_bytes", max_alloc_bytes)
+      .num("allocs_per_event", allocs_per_event, 6)
+      .num("traced_events_per_sec", traced_events_per_sec, 1)
+      .num("traced_allocs_per_event", traced_allocs_per_event, 6)
+      .num("trace_overhead_pct", trace_overhead_pct, 2)
+      .num("real_copies", real.endpoint_copies)
+      .num("real_copy_bytes", real.endpoint_bytes)
+      .num("real_hop_copies", real.hop_copies)
+      .num("real_hop_copy_bytes", real.hop_bytes)
+      .num("modeled_copies", modeled_copies)
+      .num("modeled_copy_bytes", modeled_copy_bytes)
+      .num("modeled_copies_per_msg",
+           static_cast<double>(modeled_copies) / n_msgs, 9);
+  return rep.write(out_path) ? 0 : 1;
 }

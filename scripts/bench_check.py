@@ -1,635 +1,356 @@
 #!/usr/bin/env python3
-"""Benchmark smoke check: catch large substrate performance regressions.
+"""Bench gates: run one bench's reduced gate run and check its report.
 
-Substrate gate (--binary): runs `substrate_throughput` briefly and compares
-wall-clock events/sec against the committed baseline (BENCH_substrate.json
-at the repo root). Fails if throughput dropped by more than --factor
-(default 2x), or if the steady-state allocation count per event regressed
-above --max-allocs (default 0.01 — the whole point of the pooled hot path
-is ~0).
+Every gated bench writes the shared report layout (bench/common/
+bench_report.hpp):
 
-Parallel gate (--parallel-binary): runs `parallel_scaling` briefly and
-checks the sharded engine against BENCH_parallel.json:
-  - the determinism digest must be identical at every thread count and on
-    both workloads (dense all-to-all and the sparse ring exchange),
-  - steady-state allocs/event per thread count is pinned at exactly
-    --parallel-max-allocs (default 0 — the persistent worker pool and the
-    per-shard pools leave nothing to allocate),
-  - events_per_window on the all-to-all workload must reach
-    --min-events-per-window (default 50) at every thread count: batched
-    windows are the whole point of the published-horizon scheduler, and a
-    regression to ~lookahead-sized quanta shows up here first,
-  - "serial-mode regression": the 8-shard cluster at 1 thread must stay
-    within --max-shard-tax percent (default 5) of the one-shard (serial)
-    cluster measured in the SAME run — a machine-independent ratio,
-  - speedup at 4 threads must reach --min-speedup (default 1.5x), enforced
-    only when the machine actually has >= 4 CPUs; on smaller machines the
-    check is reported and skipped (a worker pool cannot speed up a
-    1-core box, and failing there would only test the container size).
+  {"bench": name, "machine": {"cpus", "cpu_model", "build_type"},
+   "config": {...}, "summary": {...}, "rows": {table: [flat row, ...]}}
 
-Rendezvous gate (--rendezvous-binary): runs `rendezvous_crossover` and
-checks the eager vs rendezvous/RDMA protocol sweep. Everything in that
-bench is *simulated* time, so unlike the wall-clock gates the comparisons
-are exact:
-  - zero-copy proof: the RDMA streaming run must report 0 per-hop
-    simulator copies, every payload byte placed exactly once by the
-    modeled DMA engine, and endpoint (host CPU) copies below one
-    payload's worth (control traffic only),
-  - crossover monotonicity: the eager/rdma latency advantage must flip
-    exactly once across the size sweep (a clean protocol crossover),
-  - the crossover size must equal the committed baseline exactly —
-    simulated time is machine-independent, so any drift is a real
-    protocol-cost change that needs a deliberate baseline update.
+RUNS says how to invoke each bench's reduced gate run. GATES holds every
+gate, one row each, with its bound. A gate reads a summary value, or a
+column on every row of a table (optionally filtered by `where`), and is
+one of:
 
-Fabric gate (--fabric-binary): runs `fabric_scale` on a reduced fat-tree
-(default 128 hosts, 64 flows/host, 1 and 2 worker threads) and checks the
-datacenter-scale traffic engine invariants:
-  - the completion digest must be identical at every thread count and the
-    wave must complete every scheduled flow,
-  - steady-state allocs/event is pinned at exactly --fabric-max-allocs
-    (default 0): the measured wave replays a schedule the warmup wave
-    already sized every pool for,
-  - coroutine frames created per engine event in the 1-thread wave must
-    be at most 3: FM_extract's credit return visits only the peers owed
-    credits, so frames/event must not grow with the cluster size,
-  - every reported latency layer (src_queue/transit/deliver/handler/e2e)
-    must carry observations and finite p50/p99/p999 — a NaN/missing tail
-    means the histogram plumbing broke, which digests alone cannot see.
+  <=, <, >=, ==   against a constant, or against another key of the same
+                  row when the bound is a key name
+  base==          equal to the committed baseline (BENCH_<bench>.json at
+                  the repo root); table rows are matched on ROW_KEYS, rows
+                  the baseline lacks are skipped, and at least one must match
+  base/2          at least half the committed baseline (wall-clock gates are
+                  machine-dependent, so they only catch a runaway regression)
+  nondecreasing   non-decreasing along the `along` column within groups of
+                  the other row keys
 
-Collectives gate (--collectives-binary): runs `scaling_collectives` on a
-reduced rank sweep (default up to --collectives-ranks = 128) and checks
-the NIC-offloaded collective engine against the host-level ablation.
-Everything in that bench is simulated time, so the checks are exact:
-  - offload proof: every NIC-phase row must report 0 FM handler starts
-    (interior tree steps run NIC-to-NIC; completion is polled) and 0
-    cluster-wide heap allocations (warmed pools),
-  - the bench's own single-interrupt accounting (completions_ok) must
-    hold: summed NIC completions == one host interruption per operation,
-  - the NIC barrier must beat the host dissemination barrier by
-    --min-coll-speedup (default 1.5x) at 64 ranks and beyond, with the
-    absolute saving per barrier (host - nic us) non-decreasing in rank
-    count on each preset,
-  - host latency must grow monotonically with ranks for every op (more
-    ranks can't be free), and every overlapping (preset, ranks, op) row
-    must match the committed BENCH_collectives.json exactly — each
-    configuration is an independent engine, so a reduced sweep reproduces
-    the committed rows verbatim and any drift is a real protocol-cost
-    change that needs a deliberate baseline update.
+A gate with `min_cpus` is armed only when machine.cpus reaches it (a worker
+pool cannot speed up a smaller box). A gated key that is missing or null,
+or a filter matching no row, fails the gate.
 
-Wall-clock numbers are machine-dependent, so the absolute gates are
-deliberately loose: they catch "someone reintroduced a per-event
-allocation or an accidental O(n) queue", not single-digit-percent noise.
+Simulated-time benches (rendezvous, collectives) are machine-independent,
+so their baseline compares are exact; a drift is a real protocol-cost
+change that needs a deliberate baseline update.
 
 Usage:
-  scripts/bench_check.py --binary build/bench/substrate_throughput \
-      [--baseline BENCH_substrate.json] [--factor 2.0] [--max-allocs 0.01]
-  scripts/bench_check.py --parallel-binary build/bench/parallel_scaling \
-      [--parallel-baseline BENCH_parallel.json] [--min-speedup 1.5] \
-      [--max-shard-tax 5.0]
-  scripts/bench_check.py --rendezvous-binary build/bench/rendezvous_crossover \
-      [--rendezvous-baseline BENCH_rendezvous.json]
-  scripts/bench_check.py --fabric-binary build/bench/fabric_scale \
-      [--fabric-hosts 128] [--fabric-flows 64] [--fabric-max-allocs 0]
-  scripts/bench_check.py --collectives-binary build/bench/scaling_collectives \
-      [--collectives-baseline BENCH_collectives.json] \
-      [--collectives-ranks 128] [--min-coll-speedup 1.5]
+  scripts/bench_check.py {substrate|parallel|rendezvous|fabric|collectives}
+      --binary PATH [--max-shard-tax N]
+  scripts/bench_check.py --self-test [--max-shard-tax N]
+
+--self-test runs no bench: for every gate it checks that the committed
+baseline passes, and that a copy pushed just past the bound, or with the
+gated key removed, fails.
 
 Exit status: 0 ok, 1 regression, 2 usage/environment error.
 """
 
 import argparse
+import copy
 import json
+import operator
 import os
 import subprocess
 import sys
 import tempfile
+from typing import NamedTuple
 
-# Coroutine frames per engine event allowed in the 1-thread fabric wave.
-FABRIC_MAX_FRAMES = 3.0
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-def _run_to_json(cmd):
-    """Run a bench writing its JSON artifact; return the parsed dict."""
-    subprocess.run(cmd, check=True, stdout=subprocess.PIPE)
-    with open(cmd[-1]) as f:
+# Arguments of each bench's reduced gate run; {out} is the report path.
+RUNS = {
+    "substrate": ["4096", "500", "{out}"],
+    "parallel": ["0,1024", "100", "{out}"],
+    "rendezvous": ["{out}"],
+    "fabric": ["--hosts", "128", "--flows-per-host", "64", "--shards", "4",
+               "--threads", "1,2", "--out", "{out}"],
+    "collectives": ["--max-ranks", "128", "--out", "{out}"],
+}
+
+# Columns that identify a row of a table (baseline matching, grouping).
+ROW_KEYS = {
+    ("parallel", "sizes"): ("msg_size",),
+    ("parallel", "alltoall"): ("msg_size", "threads"),
+    ("parallel", "ring"): ("msg_size", "threads"),
+    ("fabric", "threads"): ("threads",),
+    ("fabric", "layers"): ("layer",),
+    ("collectives", "results"): ("preset", "ranks", "op"),
+}
+
+OPS = {"<=": operator.le, "<": operator.lt, ">=": operator.ge,
+       "==": operator.eq}
+BASE_OPS = {"base==": "==", "base/2": ">="}
+
+
+class Gate(NamedTuple):
+    bench: str
+    key: str
+    op: str
+    bound: object = None
+    table: str = None  # None: the summary
+    where: tuple = ()  # ((column, op, value), ...)
+    along: str = None  # nondecreasing only
+    min_cpus: int = 0
+
+
+FABRIC_LAYERS = ("src_queue", "transit", "deliver", "handler", "e2e")
+BARRIER_64 = (("op", "==", "barrier"), ("ranks", ">=", 64))
+
+GATES = [
+    # Substrate: no runaway slowdown, no steady-state allocation (traced or
+    # not), no physical per-hop payload copy, and the *modeled* copies per
+    # message never drift (zero-copy is a simulator optimisation, not a
+    # change to what the simulated machine is charged).
+    Gate("substrate", "events_per_sec", "base/2"),
+    Gate("substrate", "allocs_per_event", "<=", 0.01),
+    Gate("substrate", "traced_allocs_per_event", "<=", 0.01),
+    Gate("substrate", "real_hop_copies", "==", 0),
+    Gate("substrate", "modeled_copies_per_msg", "base=="),
+    # Parallel: bit-identical digests at every thread count; exactly zero
+    # steady-state allocations on both workloads; dense windows (a collapse
+    # to lookahead-sized quanta is a scheduler regression even when digests
+    # match); the 1-thread shard tax vs the one-shard cluster of the same
+    # run; the 1-thread rate; and the 4-thread speedup on >= 4 CPUs.
+    Gate("parallel", "digest_ok", "==", True),
+    Gate("parallel", "allocs_per_event", "<=", 0, table="alltoall"),
+    Gate("parallel", "events_per_window", ">=", 50, table="alltoall"),
+    Gate("parallel", "allocs_per_event", "<=", 0, table="ring"),
+    Gate("parallel", "shard_tax_pct", "<=", 5.0, table="sizes"),
+    Gate("parallel", "events_per_sec", "base/2", table="alltoall",
+         where=(("threads", "==", 1),)),
+    Gate("parallel", "speedup_4t_vs_1t", ">=", 1.5, table="sizes",
+         min_cpus=4),
+    # Rendezvous: the zero-copy proof (no per-hop copy, every payload byte
+    # DMA-placed exactly once, endpoint copies below one payload: control
+    # traffic only) and a single, unmoved eager/RDMA latency crossover.
+    Gate("rendezvous", "hop_copies", "==", 0),
+    Gate("rendezvous", "rdma_bytes", "==", "payload_bytes"),
+    Gate("rendezvous", "endpoint_bytes", "<", "max_msg_bytes"),
+    Gate("rendezvous", "advantage_flips", "==", 1),
+    Gate("rendezvous", "crossover_bytes", "base=="),
+    # Fabric: identical digests with every flow completed, zero steady-state
+    # allocations, bounded coroutine frames per event (credit return visits
+    # only the peers owed credits), and every latency layer present with
+    # every flow observed and finite ordered quantiles.
+    Gate("fabric", "digest_ok", "==", True),
+    Gate("fabric", "allocs_per_event", "<=", 0, table="threads"),
+    Gate("fabric", "frames_per_event", "<=", 3.0),
+    *[Gate("fabric", col, "==", True, table="layers",
+           where=(("layer", "==", layer),))
+      for layer in FABRIC_LAYERS for col in ("complete", "quantiles_ordered")],
+    # Collectives: one host interruption per NIC operation; no host handler
+    # and no allocation in any NIC phase; host latency grows with ranks; the
+    # NIC barrier beats the host one by 1.5x at 64+ ranks with a saving that
+    # grows with scale; every overlapping row equals the baseline exactly.
+    Gate("collectives", "completions_ok", "==", True),
+    Gate("collectives", "nic_handler_starts", "==", 0, table="results"),
+    Gate("collectives", "nic_allocs", "==", 0, table="results"),
+    Gate("collectives", "host_us", "nondecreasing", table="results",
+         along="ranks"),
+    Gate("collectives", "speedup", ">=", 1.5, table="results",
+         where=BARRIER_64),
+    Gate("collectives", "saved_us", "nondecreasing", table="results",
+         where=BARRIER_64, along="ranks"),
+    Gate("collectives", "host_us", "base==", table="results"),
+    Gate("collectives", "nic_us", "base==", table="results"),
+]
+
+
+def need(row, key):
+    """row[key], failing the gate when the key is missing or null."""
+    if row.get(key) is None:
+        raise KeyError(key)
+    return row[key]
+
+
+def select(g, rep):
+    if g.table is None:
+        return [rep["summary"]]
+    rows = [r for r in rep["rows"][g.table]
+            if all(OPS[op](need(r, col), v) for col, op, v in g.where)]
+    if not rows:
+        raise KeyError(f"no rows.{g.table} row matches")
+    return rows
+
+
+def ident(g, row):
+    return tuple(need(row, k) for k in ROW_KEYS.get((g.bench, g.table), ()))
+
+
+def series(g, rows):
+    """Rows grouped by their non-`along` keys, each sorted along `along`."""
+    groups = {}
+    for r in sorted(rows, key=lambda r: need(r, g.along)):
+        key = tuple(need(r, k) for k in ROW_KEYS[(g.bench, g.table)]
+                    if k != g.along)
+        groups.setdefault(key, []).append(r)
+    return list(groups.values())
+
+
+def bound_of(g, row, base_index):
+    """The value row[g.key] is compared against."""
+    if g.op.startswith("base"):
+        want = need(base_index[ident(g, row)], g.key)
+        return want if g.op == "base==" else want / 2
+    return need(row, g.bound) if isinstance(g.bound, str) else g.bound
+
+
+def evaluate(g, rep, base):
+    """Failure messages of gate g on rep; None when the gate is not armed."""
+    if g.min_cpus and need(rep["machine"], "cpus") < g.min_cpus:
+        return None
+    rows = select(g, rep)
+    if g.op == "nondecreasing":
+        return [f"{ident(g, b)}: {b[g.key]} < {a[g.key]} at "
+                f"{g.along}={a[g.along]}"
+                for s in series(g, rows) for a, b in zip(s, s[1:])
+                if need(b, g.key) < need(a, g.key)]
+    index = {}
+    if g.op.startswith("base"):
+        index = {ident(g, r): r for r in select(g, base)}
+        rows = [r for r in rows if ident(g, r) in index]
+        if not rows:
+            return ["no row matches the committed baseline"]
+    op = OPS[BASE_OPS.get(g.op, g.op)]
+    return [f"{ident(g, r) or g.key}: {need(r, g.key)} vs {bound_of(g, r, index)}"
+            for r in rows if not op(need(r, g.key), bound_of(g, r, index))]
+
+
+def describe(g):
+    where = " where " + ", ".join(f"{c} {o} {v}" for c, o, v in g.where) \
+        if g.where else ""
+    scope = f"rows.{g.table}" if g.table else "summary"
+    bound = "" if g.bound is None else f" {g.bound}"
+    along = f" along {g.along}" if g.along else ""
+    return f"{scope}.{g.key} {g.op}{bound}{along}{where}"
+
+
+def check(g, rep, base):
+    """Evaluate one gate; a missing key or mistyped value fails it."""
+    try:
+        fails = evaluate(g, rep, base)
+    except (KeyError, TypeError) as e:
+        fails = [f"missing or mistyped: {e}"]
+    if fails is None:
+        return "skip", [f"needs {g.min_cpus} cpus, machine has "
+                        f"{rep['machine']['cpus']}"]
+    return ("FAIL" if fails else "ok"), fails
+
+
+def observed(g, rep):
+    """The gated value, or its range over the selected rows, for the log."""
+    try:
+        vals = [need(r, g.key) for r in select(g, rep)]
+    except KeyError:
+        return ""
+    if len(vals) > 1 and all(isinstance(v, (int, float)) for v in vals):
+        return f" ({min(vals)} .. {max(vals)} over {len(vals)} rows)"
+    return f" ({', '.join(map(str, vals))})"
+
+
+def load(bench):
+    with open(os.path.join(ROOT, f"BENCH_{bench}.json")) as f:
         return json.load(f)
 
 
-def check_substrate(args) -> bool:
-    with open(args.baseline) as f:
-        base = json.load(f)
-    out_json = os.path.join(tempfile.mkdtemp(prefix="bench_check_"),
-                            "current.json")
-    cmd = [args.binary, str(base.get("msg_size", 4096)), str(args.msgs),
-           out_json]
-    cur = _run_to_json(cmd)
-
-    base_eps = base["events_per_sec"]
-    cur_eps = cur["events_per_sec"]
-    allocs = cur["allocs_per_event"]
-    floor = base_eps / args.factor
-
-    print(f"bench_check: events/sec {cur_eps:,.0f} "
-          f"(baseline {base_eps:,.0f}, floor {floor:,.0f}); "
-          f"allocs/event {allocs:.6f} (max {args.max_allocs})")
-
+def run_gates(bench, binary, gates):
+    base = load(bench)
+    with tempfile.TemporaryDirectory(prefix="bench_check_") as tmp:
+        out = os.path.join(tmp, "report.json")
+        cmd = [binary] + [a.format(out=out) for a in RUNS[bench]]
+        # A bench exits non-zero when its own checks fail; the gates below
+        # see the same failure in the report, so only a missing report is
+        # an error.
+        proc = subprocess.run(cmd, stdout=subprocess.DEVNULL)
+        with open(out) as f:
+            rep = json.load(f)
+    print(f"bench_check: {bench} (exit {proc.returncode}), machine "
+          f"{rep.get('machine')}")
     ok = True
-    if cur_eps < floor:
-        print(f"bench_check: REGRESSION: events/sec below "
-              f"baseline/{args.factor:g}", file=sys.stderr)
-        ok = False
-    if allocs > args.max_allocs:
-        print("bench_check: REGRESSION: steady-state allocations returned "
-              "to the event/packet hot path", file=sys.stderr)
-        ok = False
-
-    # Tracing tax (keys absent from pre-tracing baselines — skip then).
-    traced_eps = cur.get("traced_events_per_sec")
-    traced_allocs = cur.get("traced_allocs_per_event")
-    if traced_eps is not None and traced_allocs is not None:
-        pct = 100.0 * (cur_eps - traced_eps) / cur_eps
-        print(f"bench_check: tracing on/off {traced_eps:,.0f} / "
-              f"{cur_eps:,.0f} events/sec ({pct:+.1f}% overhead); "
-              f"traced allocs/event {traced_allocs:.6f}")
-        if traced_allocs > args.max_allocs:
-            print("bench_check: REGRESSION: tracing allocates in the "
-                  "steady state (the ring must be preallocated at "
-                  "enable())", file=sys.stderr)
-            ok = False
-
-    # Zero-copy data-plane gates (keys absent from pre-zero-copy baselines
-    # and binaries — skip then). Serial steady state must do no physical
-    # per-hop payload copies, and the *modeled* copy count per message must
-    # not drift: zero-copy is a simulator optimisation, not a change to
-    # what the simulated machine is charged.
-    hop_copies = cur.get("real_hop_copies")
-    if hop_copies is not None:
-        print(f"bench_check: real copies/msg "
-              f"{cur['real_copies'] / cur['n_msgs']:.1f} endpoint, "
-              f"{hop_copies} per-hop total; modeled copies/msg "
-              f"{cur['modeled_copies'] / cur['n_msgs']:.1f}")
-        if hop_copies != 0:
-            print("bench_check: REGRESSION: physical per-hop payload "
-                  "copies returned to the serial wire path (NIC "
-                  "retention, staging or COW is copying again)",
-                  file=sys.stderr)
-            ok = False
-        base_mod = base.get("modeled_copies")
-        if base_mod is not None:
-            # Exact rational compare of copies-per-message: run lengths
-            # differ between the gate and the committed baseline.
-            if cur["modeled_copies"] * base["n_msgs"] != \
-                    base_mod * cur["n_msgs"]:
-                print("bench_check: REGRESSION: modeled copies per message "
-                      f"changed ({cur['modeled_copies']}/{cur['n_msgs']} "
-                      f"msgs vs baseline {base_mod}/{base['n_msgs']})",
-                      file=sys.stderr)
-                ok = False
-    return ok
-
-
-def check_parallel(args) -> bool:
-    with open(args.parallel_baseline) as f:
-        base = json.load(f)
-    out_json = os.path.join(tempfile.mkdtemp(prefix="bench_check_par_"),
-                            "parallel.json")
-    cmd = [args.parallel_binary, str(base.get("msg_size", 1024)),
-           str(args.parallel_msgs), out_json]
-    cur = _run_to_json(cmd)
-
-    ok = True
-    if not cur.get("digest_ok", False):
-        print("bench_check: REGRESSION: parallel determinism digest "
-              "diverged across thread counts", file=sys.stderr)
-        ok = False
-
-    per_thread = {t["threads"]: t for t in cur.get("threads", [])}
-    for n, row in sorted(per_thread.items()):
-        allocs = row["allocs_per_event"]
-        epw = row.get("events_per_window")
-        epw_txt = f", {epw:,.0f} events/window" if epw is not None else ""
-        print(f"bench_check: parallel {n}t {row['events_per_sec']:,.0f} "
-              f"events/sec, allocs/event {allocs:.6f}{epw_txt}")
-        if allocs > args.parallel_max_allocs:
-            print(f"bench_check: REGRESSION: steady-state allocations in "
-                  f"the sharded hot path at {n} threads (must be exactly "
-                  f"{args.parallel_max_allocs:g})", file=sys.stderr)
-            ok = False
-        # Batching-quality gate (key absent from pre-batching baselines and
-        # binaries — skip then). Dense all-to-all must run hundreds of
-        # events per non-empty quantum; a collapse back to one-lookahead
-        # windows is a scheduler regression even when digests still match.
-        if epw is not None and epw < args.min_events_per_window:
-            print(f"bench_check: REGRESSION: all-to-all events/window "
-                  f"{epw:,.1f} at {n} threads below "
-                  f"{args.min_events_per_window:g} — window batching "
-                  f"collapsed", file=sys.stderr)
-            ok = False
-
-    # Ring neighbor-exchange sweep (absent from older binaries — skip
-    # then). Digest identity is already folded into top-level digest_ok;
-    # the alloc gate applies here too: the sparse workload is where the
-    # cross-thread frame drain used to surface a stray slab carve.
-    ring = cur.get("ring")
-    if ring:
-        for row in ring.get("threads", []):
-            allocs = row.get("allocs_per_event", 0.0)
-            print(f"bench_check: ring {row['threads']}t "
-                  f"{row['events_per_sec']:,.0f} events/sec, "
-                  f"allocs/event {allocs:.6f}, "
-                  f"{row['events_per_window']:,.0f} events/window")
-            if allocs > args.parallel_max_allocs:
-                print(f"bench_check: REGRESSION: steady-state allocations "
-                      f"in the ring workload at {row['threads']} threads "
-                      f"(must be exactly {args.parallel_max_allocs:g})",
-                      file=sys.stderr)
-                ok = False
-
-    # Serial-mode regression: same run, same machine, so the tolerance can
-    # be tight. shard_tax is (serial - parallel@1t)/serial; negative means
-    # the sharded path is faster than the single heap, which is fine.
-    tax = cur.get("shard_tax_pct", 0.0)
-    print(f"bench_check: shard tax at 1 thread {tax:+.1f}% "
-          f"(max {args.max_shard_tax:g}%)")
-    if tax > args.max_shard_tax:
-        print("bench_check: REGRESSION: 1-thread sharded run fell more "
-              f"than {args.max_shard_tax:g}% behind the serial engine",
-              file=sys.stderr)
-        ok = False
-
-    # Loose cross-commit wall-clock gate, like the substrate one.
-    base_1t = next((t for t in base.get("threads", [])
-                    if t["threads"] == 1), None)
-    cur_1t = per_thread.get(1)
-    if base_1t and cur_1t:
-        floor = base_1t["events_per_sec"] / args.factor
-        if cur_1t["events_per_sec"] < floor:
-            print(f"bench_check: REGRESSION: parallel 1t events/sec below "
-                  f"baseline/{args.factor:g} ({floor:,.0f})",
-                  file=sys.stderr)
-            ok = False
-
-    cpus = cur.get("cpus", 0)
-    speedup = cur.get("speedup_4t_vs_1t", 0.0)
-    if cpus >= 4:
-        print(f"bench_check: speedup at 4 threads {speedup:.2f}x "
-              f"(min {args.min_speedup:g}x, {cpus} cpus)")
-        if speedup < args.min_speedup:
-            print("bench_check: REGRESSION: parallel speedup at 4 threads "
-                  f"below {args.min_speedup:g}x", file=sys.stderr)
-            ok = False
-    else:
-        print(f"bench_check: speedup at 4 threads {speedup:.2f}x — gate "
-              f"SKIPPED: machine has {cpus} cpu(s), need >= 4 for the "
-              f"{args.min_speedup:g}x check to be meaningful")
-    return ok
-
-
-def check_rendezvous(args) -> bool:
-    with open(args.rendezvous_baseline) as f:
-        base = json.load(f)
-    out_json = os.path.join(tempfile.mkdtemp(prefix="bench_check_rdzv_"),
-                            "rendezvous.json")
-    cur = _run_to_json([args.rendezvous_binary, out_json])
-
-    ok = True
-    zc = cur["zero_copy"]
-    print(f"bench_check: rendezvous zero-copy: {zc['hop_copies']} hop "
-          f"copies, {zc['rdma_bytes']}/{zc['payload_bytes']} rdma bytes "
-          f"placed, {zc['endpoint_bytes']} endpoint bytes (control)")
-    if zc["hop_copies"] != 0:
-        print("bench_check: REGRESSION: the rendezvous/RDMA path performs "
-              "per-hop simulator copies (COW clone or cross-shard copy on "
-              "the remote-write data plane)", file=sys.stderr)
-        ok = False
-    if zc["rdma_bytes"] != zc["payload_bytes"]:
-        print("bench_check: REGRESSION: RDMA placement bytes != payload "
-              "bytes — chunks are being dropped, duplicated, or staged "
-              "through the endpoint path", file=sys.stderr)
-        ok = False
-    if zc["endpoint_bytes"] >= max(s["bytes"] for s in cur["sizes"]):
-        print("bench_check: REGRESSION: rendezvous endpoint (host CPU) "
-              "copies exceed control-traffic volume — a payload is being "
-              "staged through host memory again", file=sys.stderr)
-        ok = False
-
-    flips = cur.get("advantage_flips")
-    crossover = cur.get("crossover_bytes")
-    print(f"bench_check: rendezvous crossover {crossover} bytes, "
-          f"{flips} advantage flip(s) (baseline "
-          f"{base.get('crossover_bytes')})")
-    if flips != 1:
-        print("bench_check: REGRESSION: eager/rdma latency advantage "
-              f"flipped {flips} times across the sweep — the protocol "
-              "crossover is no longer monotone", file=sys.stderr)
-        ok = False
-    # Simulated time: exact compare, not a tolerance band.
-    if crossover != base.get("crossover_bytes"):
-        print("bench_check: REGRESSION: crossover size moved from "
-              f"{base.get('crossover_bytes')} to {crossover} bytes — "
-              "protocol costs changed; update BENCH_rendezvous.json "
-              "deliberately if intended", file=sys.stderr)
-        ok = False
-    return ok
-
-
-def check_fabric(args) -> bool:
-    import math
-    out_json = os.path.join(tempfile.mkdtemp(prefix="bench_check_fab_"),
-                            "fabric.json")
-    cmd = [args.fabric_binary, "--hosts", str(args.fabric_hosts),
-           "--flows-per-host", str(args.fabric_flows),
-           "--shards", "4", "--threads", "1,2", "--out", out_json]
-    # The bench itself exits non-zero on digest divergence; capture that as
-    # a regression rather than a harness error.
-    proc = subprocess.run(cmd, stdout=subprocess.PIPE)
-    with open(out_json) as f:
-        cur = json.load(f)
-
-    ok = True
-    if proc.returncode != 0 or not cur.get("digest_ok", False):
-        print("bench_check: REGRESSION: fabric traffic digest diverged "
-              "across thread counts (or a wave left flows incomplete)",
-              file=sys.stderr)
-        ok = False
-
-    for row in cur.get("threads", []):
-        allocs = row["allocs_per_event"]
-        print(f"bench_check: fabric {row['threads']}t "
-              f"{row['events_per_sec']:,.0f} events/sec, "
-              f"allocs/event {allocs:.6f}, digest {row['digest']}")
-        if allocs > args.fabric_max_allocs:
-            print(f"bench_check: REGRESSION: steady-state allocations in "
-                  f"the fabric traffic wave at {row['threads']} threads "
-                  f"(must be exactly {args.fabric_max_allocs:g})",
-                  file=sys.stderr)
-            ok = False
-
-    frames = cur.get("frames_per_event")
-    if frames is None:
-        print("bench_check: REGRESSION: fabric report has no "
-              "frames_per_event (the 1-thread wave must report it)",
-              file=sys.stderr)
-        ok = False
-    else:
-        print(f"bench_check: fabric 1t frames/event {frames:.3f}")
-        if frames > FABRIC_MAX_FRAMES:
-            print(f"bench_check: REGRESSION: {frames:.3f} coroutine frames "
-                  f"per event in the 1-thread fabric wave (max "
-                  f"{FABRIC_MAX_FRAMES:g})", file=sys.stderr)
-            ok = False
-
-    total = cur.get("total_flows", 0)
-    layers = {l["layer"]: l for l in cur.get("layers", [])}
-    for name in ("src_queue", "transit", "deliver", "handler", "e2e"):
-        lay = layers.get(name)
-        if lay is None:
-            print(f"bench_check: REGRESSION: fabric layer {name!r} missing "
-                  f"from the quantile report", file=sys.stderr)
-            ok = False
+    for g in gates:
+        if g.bench != bench:
             continue
-        p50, p99, p999 = lay["p50_us"], lay["p99_us"], lay["p999_us"]
-        print(f"bench_check: fabric {name:9s} n={lay['count']} "
-              f"p50 {p50:.3f} us, p99 {p99:.3f} us, p999 {p999:.3f} us")
-        if lay["count"] != total or total == 0:
-            print(f"bench_check: REGRESSION: fabric layer {name!r} saw "
-                  f"{lay['count']} observations, expected {total}",
-                  file=sys.stderr)
-            ok = False
-        if not all(math.isfinite(v) for v in (p50, p99, p999)) \
-                or p999 < p99 or p99 < p50 or p50 < 0:
-            print(f"bench_check: REGRESSION: fabric layer {name!r} "
-                  f"quantiles are non-finite or non-monotone",
-                  file=sys.stderr)
-            ok = False
+        status, notes = check(g, rep, base)
+        ok = ok and status != "FAIL"
+        print(f"  {status:4s}  {describe(g)}{observed(g, rep)}")
+        for n in notes:
+            print(f"          {n}", file=sys.stderr if status == "FAIL"
+                  else sys.stdout)
     return ok
 
 
-def check_collectives(args) -> bool:
-    with open(args.collectives_baseline) as f:
-        base = json.load(f)
-    out_json = os.path.join(tempfile.mkdtemp(prefix="bench_check_coll_"),
-                            "collectives.json")
-    cmd = [args.collectives_binary, "--max-ranks",
-           str(args.collectives_ranks), "--out", out_json]
-    # The bench exits non-zero when its own single-interrupt or
-    # quiet-NIC-phase accounting fails; fold that into the row checks
-    # below instead of treating it as a harness error.
-    subprocess.run(cmd, stdout=subprocess.PIPE)
-    with open(out_json) as f:
-        cur = json.load(f)
+def push_past(g, rep):
+    """Mutate rep, a copy of the baseline, so that gate g sees one value
+    just past its bound (worked out here, not by the evaluator)."""
+    rows = select(g, rep)
+    if g.op == "nondecreasing":
+        a, b = next(s for s in series(g, rows) if len(s) > 1)[:2]
+        b[g.key] = a[g.key] - 1e-3
+        return
+    row = rows[0]
+    v = row[g.key]  # the baseline's own value
+    b = row[g.bound] if isinstance(g.bound, str) else g.bound
+    eps = 1e-6 * max(1.0, abs(v), abs(b or 0))
+    if g.op == "base/2":
+        row[g.key] = v / 2 - eps
+    elif g.op == "base==":
+        row[g.key] = v + 1
+    elif isinstance(b, bool):
+        row[g.key] = not b
+    else:
+        row[g.key] = {"<=": b + eps, "<": b, ">=": b - eps, "==": b + 1}[g.op]
 
-    ok = True
-    if not cur.get("completions_ok", False):
-        print("bench_check: REGRESSION: NIC collective completions != one "
-              "host interruption per operation", file=sys.stderr)
-        ok = False
 
-    rows = cur.get("results", [])
-    by_key = {(r["preset"], r["ranks"], r["op"]): r for r in rows}
-    presets = sorted({r["preset"] for r in rows})
-    ops = sorted({r["op"] for r in rows})
-
-    for r in rows:
-        # Offload proof: interior steps never start a host handler, and
-        # the warmed NIC phases are allocation-free cluster-wide.
-        if r["nic_handler_starts"] != 0:
-            print(f"bench_check: REGRESSION: {r['preset']}/{r['ranks']} "
-                  f"{r['op']}: NIC phase started "
-                  f"{r['nic_handler_starts']} host handlers (must be 0 — "
-                  f"the host is only interrupted at completion)",
-                  file=sys.stderr)
-            ok = False
-        if r["nic_allocs"] != 0:
-            print(f"bench_check: REGRESSION: {r['preset']}/{r['ranks']} "
-                  f"{r['op']}: {r['nic_allocs']} heap allocations in the "
-                  f"NIC phase (must be 0 after warmup)", file=sys.stderr)
-            ok = False
-
-    for preset in presets:
-        for op in ops:
-            series = sorted((r["ranks"], r) for k, r in by_key.items()
-                            if k[0] == preset and k[2] == op)
-            # Host latency monotone in ranks: more ranks can't be free.
-            for (_, a), (_, b) in zip(series, series[1:]):
-                if b["host_us"] < a["host_us"]:
-                    print(f"bench_check: REGRESSION: {preset} {op} host "
-                          f"latency fell from {a['host_us']:.1f} us at "
-                          f"{a['ranks']} ranks to {b['host_us']:.1f} us "
-                          f"at {b['ranks']} ranks", file=sys.stderr)
-                    ok = False
-            if op != "barrier":
-                continue
-            # Offload payoff: speedup floor at 64+ ranks, and the absolute
-            # saving per barrier (host - nic us) non-decreasing with rank
-            # count. The saving is the gated "gap": the ratio wobbles by a
-            # few percent when the leader heap gains a level while the
-            # host's dissemination rounds grow smoothly, but every host
-            # round the tree avoids is time saved, and that saving must
-            # grow with scale.
-            gated = [r for _, r in series if r["ranks"] >= 64]
-            for r in gated:
-                print(f"bench_check: {preset} barrier {r['ranks']} ranks: "
-                      f"host {r['host_us']:.1f} us, nic "
-                      f"{r['nic_us']:.1f} us, speedup "
-                      f"{r['speedup']:.2f}x, saved "
-                      f"{r['host_us'] - r['nic_us']:.1f} us")
-                if r["speedup"] < args.min_coll_speedup:
-                    print(f"bench_check: REGRESSION: NIC barrier speedup "
-                          f"{r['speedup']:.2f}x at {r['ranks']} ranks "
-                          f"below {args.min_coll_speedup:g}x",
-                          file=sys.stderr)
-                    ok = False
-            for a, b in zip(gated, gated[1:]):
-                gap_a = a["host_us"] - a["nic_us"]
-                gap_b = b["host_us"] - b["nic_us"]
-                if gap_b < gap_a:
-                    print(f"bench_check: REGRESSION: {preset} barrier "
-                          f"offload saving shrank from {gap_a:.1f} us at "
-                          f"{a['ranks']} ranks to {gap_b:.1f} us at "
-                          f"{b['ranks']} ranks — the offload gap must "
-                          f"grow with scale", file=sys.stderr)
-                    ok = False
-
-    # Simulated time: every overlapping row must match the committed
-    # baseline bit-for-bit (independent engines per configuration, so a
-    # reduced sweep reproduces the full-sweep rows).
-    base_by_key = {(r["preset"], r["ranks"], r["op"]): r
-                   for r in base.get("results", [])}
-    compared = 0
-    for key, r in by_key.items():
-        b = base_by_key.get(key)
-        if b is None:
-            continue
-        compared += 1
-        if r["host_us"] != b["host_us"] or r["nic_us"] != b["nic_us"]:
-            print(f"bench_check: REGRESSION: {key[0]}/{key[1]} {key[2]} "
-                  f"moved: host {b['host_us']} -> {r['host_us']} us, nic "
-                  f"{b['nic_us']} -> {r['nic_us']} us; update "
-                  f"BENCH_collectives.json deliberately if intended",
-                  file=sys.stderr)
-            ok = False
-    print(f"bench_check: collectives: {len(rows)} rows, {compared} "
-          f"compared exactly against baseline")
-    if compared == 0:
-        print("bench_check: REGRESSION: no overlap with the committed "
-              "collectives baseline", file=sys.stderr)
-        ok = False
-    return ok
+def self_test(gates):
+    """Every gate passes the committed baseline and fails just past it."""
+    bad = 0
+    for g in gates:
+        base = load(g.bench)
+        cases = [("committed baseline", lambda r: None, False),
+                 ("pushed past the bound", lambda r: push_past(g, r), True),
+                 ("gated key removed",
+                  lambda r: select(g, r)[0].pop(g.key), True)]
+        if g.min_cpus:
+            cases.append(("machine.cpus removed",
+                          lambda r: r["machine"].pop("cpus"), True))
+        if isinstance(g.bound, str):
+            cases.append(("bound key removed",
+                          lambda r: select(g, r)[0].pop(g.bound), True))
+        for name, mutate, must_fail in cases:
+            rep = copy.deepcopy(base)
+            if must_fail and g.min_cpus:  # arm the gate on any machine
+                rep["machine"]["cpus"] = max(rep["machine"]["cpus"],
+                                             g.min_cpus)
+            mutate(rep)
+            status, notes = check(g, rep, base)
+            if (status == "FAIL") != must_fail:
+                bad += 1
+                print(f"self-test: {g.bench} {describe(g)}: {name} gave "
+                      f"{status} {notes}", file=sys.stderr)
+    print(f"self-test: {len(gates)} gates, {bad} wrong verdicts")
+    return bad == 0
 
 
 def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--binary",
-                    help="path to the substrate_throughput executable")
-    ap.add_argument("--baseline", default="BENCH_substrate.json",
-                    help="committed substrate baseline JSON "
-                         "(default: %(default)s)")
-    ap.add_argument("--parallel-binary",
-                    help="path to the parallel_scaling executable")
-    ap.add_argument("--parallel-baseline", default="BENCH_parallel.json",
-                    help="committed parallel baseline JSON "
-                         "(default: %(default)s)")
-    ap.add_argument("--rendezvous-binary",
-                    help="path to the rendezvous_crossover executable")
-    ap.add_argument("--rendezvous-baseline", default="BENCH_rendezvous.json",
-                    help="committed rendezvous baseline JSON "
-                         "(default: %(default)s)")
-    ap.add_argument("--fabric-binary",
-                    help="path to the fabric_scale executable")
-    ap.add_argument("--fabric-hosts", type=int, default=128,
-                    help="fat-tree size for the fabric gate "
-                         "(default: %(default)s)")
-    ap.add_argument("--fabric-flows", type=int, default=64,
-                    help="flows per host in the fabric gate "
-                         "(default: %(default)s)")
-    ap.add_argument("--fabric-max-allocs", type=float, default=0.0,
-                    help="max allocs/event in the fabric gate — the "
-                         "measured wave is allocation-free after warmup, "
-                         "so the pin is exact (default: %(default)s)")
-    ap.add_argument("--collectives-binary",
-                    help="path to the scaling_collectives executable")
-    ap.add_argument("--collectives-baseline",
-                    default="BENCH_collectives.json",
-                    help="committed collectives baseline JSON "
-                         "(default: %(default)s)")
-    ap.add_argument("--collectives-ranks", type=int, default=128,
-                    help="largest cluster size in the collectives gate "
-                         "(default: %(default)s)")
-    ap.add_argument("--min-coll-speedup", type=float, default=1.5,
-                    help="min NIC-vs-host barrier speedup at 64+ ranks "
-                         "(default: %(default)s)")
-    ap.add_argument("--factor", type=float, default=2.0,
-                    help="max tolerated slowdown vs baseline "
-                         "(default: %(default)s)")
-    ap.add_argument("--max-allocs", type=float, default=0.01,
-                    help="max allocs/event in the substrate gate "
-                         "(default: %(default)s)")
-    ap.add_argument("--parallel-max-allocs", type=float, default=0.0,
-                    help="max allocs/event in the parallel gate — the "
-                         "sharded steady state is allocation-free, so the "
-                         "pin is exact (default: %(default)s)")
-    ap.add_argument("--min-events-per-window", type=float, default=50.0,
-                    help="min events per non-empty quantum on the "
-                         "all-to-all parallel workload (default: "
-                         "%(default)s)")
-    ap.add_argument("--min-speedup", type=float, default=1.5,
-                    help="min 4-thread speedup, enforced when cpus >= 4 "
-                         "(default: %(default)s)")
-    ap.add_argument("--max-shard-tax", type=float, default=5.0,
-                    help="max %% the 1-thread sharded run may trail the "
-                         "serial engine (default: %(default)s)")
-    ap.add_argument("--msgs", type=int, default=500,
-                    help="messages to stream in the substrate gate "
-                         "(default: %(default)s)")
-    ap.add_argument("--parallel-msgs", type=int, default=100,
-                    help="msgs per node pair in the parallel gate "
-                         "(default: %(default)s)")
+    ap = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("bench", nargs="?", choices=sorted(RUNS))
+    ap.add_argument("--binary", help="path to the bench executable")
+    ap.add_argument("--max-shard-tax", type=float,
+                    help="bound of the parallel shard-tax gate, in %% "
+                         "(default 5)")
+    ap.add_argument("--self-test", action="store_true",
+                    help="check every gate against the committed baselines")
     args = ap.parse_args()
-
-    if not args.binary and not args.parallel_binary \
-            and not args.rendezvous_binary and not args.fabric_binary \
-            and not args.collectives_binary:
-        print("bench_check: need --binary, --parallel-binary, "
-              "--rendezvous-binary, --fabric-binary and/or "
-              "--collectives-binary", file=sys.stderr)
-        return 2
-
-    ok = True
+    gates = [g._replace(bound=args.max_shard_tax)
+             if g.key == "shard_tax_pct" and args.max_shard_tax is not None
+             else g for g in GATES]
     try:
-        if args.binary:
-            if not os.path.exists(args.baseline):
-                print(f"bench_check: baseline {args.baseline!r} not found",
-                      file=sys.stderr)
-                return 2
-            ok = check_substrate(args) and ok
-        if args.parallel_binary:
-            if not os.path.exists(args.parallel_baseline):
-                print(f"bench_check: baseline "
-                      f"{args.parallel_baseline!r} not found",
-                      file=sys.stderr)
-                return 2
-            ok = check_parallel(args) and ok
-        if args.rendezvous_binary:
-            if not os.path.exists(args.rendezvous_baseline):
-                print(f"bench_check: baseline "
-                      f"{args.rendezvous_baseline!r} not found",
-                      file=sys.stderr)
-                return 2
-            ok = check_rendezvous(args) and ok
-        if args.fabric_binary:
-            ok = check_fabric(args) and ok
-        if args.collectives_binary:
-            if not os.path.exists(args.collectives_baseline):
-                print(f"bench_check: baseline "
-                      f"{args.collectives_baseline!r} not found",
-                      file=sys.stderr)
-                return 2
-            ok = check_collectives(args) and ok
-    except (OSError, subprocess.CalledProcessError, json.JSONDecodeError,
-            KeyError) as e:
+        if args.self_test:
+            return 0 if self_test(gates) else 1
+        if not args.bench or not args.binary:
+            ap.error("need a bench name and --binary (or --self-test)")
+        return 0 if run_gates(args.bench, args.binary, gates) else 1
+    except (OSError, json.JSONDecodeError) as e:
         print(f"bench_check: failed: {e}", file=sys.stderr)
         return 2
-    return 0 if ok else 1
 
 
 if __name__ == "__main__":
