@@ -67,8 +67,11 @@ int main() {
 
   // Data-path cost per message during the 200-message bandwidth streams.
   // Copies are simulated memcpy charges; allocs are buffer-pool misses
-  // (fresh heap allocations). Allocs should drop to ~0 once the pool is
-  // warm — a nonzero steady-state value means the pool is being bypassed.
+  // (fresh heap allocations). Each stream's one-shard cluster starts with
+  // an empty pool, so allocs/msg is the pool's one-time growth to its
+  // high-water mark (a fixed block count: 22 on the FM 2.x sender at 100
+  // to 800 messages) spread over the stream; a count that grows with the
+  // stream length means the pool is being bypassed.
   std::puts("\n=== Per-message data-path costs (bandwidth streams) ===\n");
   std::printf("%-22s %12s %12s %12s %12s\n", "layer", "copies/msg tx",
               "copies/msg rx", "allocs/msg tx", "allocs/msg rx");

@@ -21,8 +21,11 @@ std::size_t BufferPool::class_for_capacity(std::size_t cap) noexcept {
 }
 
 BufferPool::~BufferPool() {
-  for (auto& cls : free_blocks_) {
-    for (detail::BlockHeader* h : cls) detail::free_block(h);
+  for (FreeList& fl : free_) {
+    while (detail::BlockHeader* h = fl.head) {
+      fl.head = h->next_free;
+      detail::free_block(h);
+    }
   }
 }
 
@@ -37,9 +40,11 @@ detail::BlockHeader* BufferPool::take_block(std::size_t n, bool* fresh) {
   }
   std::size_t cls = class_for_request(n);
   detail::BlockHeader* h = nullptr;
-  if (cls < kClasses && !free_blocks_[cls].empty()) {
-    h = free_blocks_[cls].back();
-    free_blocks_[cls].pop_back();
+  if (cls < kClasses && free_[cls].head != nullptr) {
+    h = free_[cls].head;
+    free_[cls].head = h->next_free;
+    h->ext = nullptr;
+    --free_[cls].parked;
     --stats_.free_buffers;
     ++stats_.pool_hits;
     if (fresh != nullptr) *fresh = false;
@@ -62,11 +67,13 @@ void BufferPool::return_block(detail::BlockHeader* h) noexcept {
   ++stats_.releases;
   if (stats_.outstanding > 0) --stats_.outstanding;
   std::size_t cls = class_for_capacity(h->capacity);
-  if (cls >= kClasses || free_blocks_[cls].size() >= retain_limit(cls)) {
+  if (cls >= kClasses || free_[cls].parked >= retain_limit(cls)) {
     detail::free_block(h);
     return;
   }
-  free_blocks_[cls].push_back(h);
+  h->next_free = free_[cls].head;
+  free_[cls].head = h;
+  ++free_[cls].parked;
   if (++stats_.free_buffers > stats_.free_high) {
     stats_.free_high = stats_.free_buffers;
   }

@@ -6,6 +6,15 @@
 // steady stream reaches its high-water mark and then stops touching the
 // allocator entirely.
 //
+// Each class's free list is intrusive: a parked block links to the next
+// through its own header (BlockHeader::next_free, which shares the slot of
+// `ext`, null for every pooled block), and a per-class count feeds the
+// retention limit. Parking a block therefore never allocates — only a pool
+// miss does, and Stats::fresh_allocs counts exactly those. The pool starts
+// empty and grows on demand; a caller that needs the high-water mark
+// reached before measuring (ParallelCluster's multi-shard pre-warm)
+// acquires and drops that many blocks up front.
+//
 // Blocks are returned with size() == n but are NOT zeroed: every producer
 // on the data path overwrites the full payload before the buffer reaches
 // the wire (FM's gather/stream copies fill byte 0..n-1, headers are
@@ -16,7 +25,6 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "common/buffer_ref.hpp"
 
@@ -27,7 +35,7 @@ class BufferPool {
   struct Stats {
     std::uint64_t acquires = 0;      // total acquire_ref() calls
     std::uint64_t pool_hits = 0;     // served from a free list
-    std::uint64_t fresh_allocs = 0;  // had to allocate a new block
+    std::uint64_t fresh_allocs = 0;  // pool miss: allocated a new block
     std::uint64_t releases = 0;      // blocks whose last reference dropped
     std::uint64_t outstanding = 0;   // acquired and not yet released
     std::uint64_t outstanding_high = 0;
@@ -90,7 +98,11 @@ class BufferPool {
   }
 
   std::size_t retain_bytes_per_class_ = kDefaultRetainBytesPerClass;
-  std::array<std::vector<detail::BlockHeader*>, kClasses> free_blocks_;
+  struct FreeList {
+    detail::BlockHeader* head = nullptr;
+    std::size_t parked = 0;
+  };
+  std::array<FreeList, kClasses> free_;
   Stats stats_;
 };
 

@@ -47,7 +47,10 @@ struct BlockHeader {
   std::uint32_t crc_len = 0;
   bool crc_valid = false;
   BufferPool* pool = nullptr;   ///< owner; nullptr = free-standing block
-  std::byte* ext = nullptr;     ///< external data; nullptr = bytes follow
+  union {
+    std::byte* ext = nullptr;   ///< external data; nullptr = bytes follow
+    BlockHeader* next_free;     ///< free-list link while parked in a pool
+  };
 
   std::byte* data() noexcept {
     return ext != nullptr ? ext : reinterpret_cast<std::byte*>(this + 1);
@@ -57,6 +60,10 @@ struct BlockHeader {
                           : reinterpret_cast<const std::byte*>(this + 1);
   }
 };
+
+// Pooled blocks never have external data, so a parked block's free-list
+// link reuses the `ext` slot instead of growing every header.
+static_assert(sizeof(BlockHeader) == 40);
 
 /// Allocate a free-standing block (refs=1, size=capacity, pool=nullptr).
 BlockHeader* alloc_block(std::size_t capacity);

@@ -260,21 +260,25 @@ ParallelCluster::ParallelCluster(const ClusterParams& p, int n_shards)
         std::make_unique<Node>(par_.shard(s), i, p, *fabrics_[s]));
   }
 
-  // Pre-warm every shard's buffer pool across the packet size classes.
-  // Under batched quanta the peak number of simultaneously live blocks
-  // depends on cross-shard thread timing, so a warmup wave cannot
-  // deterministically reach the high-water mark the way it does in serial
-  // runs; paying the structural worst case here keeps the steady-state
-  // data path off the allocator at any interleaving.
-  for (int s = 0; s < n_shards_; ++s) {
-    const int hosts = shard_begin_[s + 1] - shard_begin_[s];
-    const int per_class = 128 * (hosts + 1);
-    std::vector<BufferRef> warm;
-    warm.reserve(static_cast<std::size_t>(per_class));
-    for (std::size_t sz = 64; sz / 2 < slot_bytes; sz *= 2) {
-      warm.clear();
-      for (int i = 0; i < per_class; ++i) {
-        warm.push_back(fabrics_[s]->pool().acquire_ref(sz));
+  // A one-shard cluster grows its buffer pool on demand. FM 2.x credits
+  // and paced extraction bound how many blocks are live at once, so the
+  // peak is a function of (params, seed) alone, and a warm-up wave of the
+  // workload reaches it. With several shards the peak also depends on
+  // cross-shard thread timing: a warm-up wave cannot reach it
+  // deterministically, so each shard's pool is pre-warmed to the structural
+  // worst case across the packet size classes, which keeps the
+  // steady-state data path off the allocator at any interleaving.
+  if (n_shards_ > 1) {
+    for (int s = 0; s < n_shards_; ++s) {
+      const int hosts = shard_begin_[s + 1] - shard_begin_[s];
+      const int per_class = 128 * (hosts + 1);
+      std::vector<BufferRef> warm;
+      warm.reserve(static_cast<std::size_t>(per_class));
+      for (std::size_t sz = 64; sz / 2 < slot_bytes; sz *= 2) {
+        warm.clear();
+        for (int i = 0; i < per_class; ++i) {
+          warm.push_back(fabrics_[s]->pool().acquire_ref(sz));
+        }
       }
     }
   }

@@ -3,8 +3,8 @@
 // this binary only, like test_trace — the hook is a global replacement and
 // must not leak into other test executables).
 //
-// After one warmup wave (per-shard buffer/frame pools carved, SPSC rings
-// preallocated, the persistent worker pool spawned), a second identical
+// After warm-up waves (per-shard buffer/frame pools carved, SPSC rings
+// preallocated, the persistent worker pool spawned), one more identical
 // wave must perform zero heap allocations: no per-event, per-packet,
 // per-quantum, or per-park allocation anywhere in the engine, transport, or
 // synchronization path. The grid covers the message sizes around the FM 2.x
@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "bench/common/alloc_hook.hpp"
+#include "common/buffer_pool.hpp"
 #include "fm2/fm2.hpp"
 #include "myrinet/parallel_cluster.hpp"
 #include "myrinet/params.hpp"
@@ -28,6 +29,7 @@ namespace {
 
 constexpr int kNodes = 4;
 constexpr int kMsgsPerPeer = 30;
+constexpr int kMaxWarmupWaves = 4;
 
 enum class Pattern { kAllToAll, kRing };
 
@@ -64,9 +66,19 @@ struct Wave {
   }
 };
 
-/// Runs the warmup wave, then an identical measured wave; returns the heap
-/// allocations of the measured wave. `size_of` maps the endpoints' per-packet
-/// payload to the message size.
+/// Blocks the cluster's buffer pools have allocated so far, over all shards.
+std::uint64_t pool_blocks(net::ParallelCluster& cl) {
+  std::uint64_t n = 0;
+  for (int s = 0; s < cl.n_shards(); ++s) {
+    n += cl.shard_fabric(s).pool().stats().fresh_allocs;
+  }
+  return n;
+}
+
+/// Runs warm-up waves until one adds no buffer-pool block (at most
+/// kMaxWarmupWaves), then an identical measured wave; returns the heap
+/// allocations of the measured wave. `size_of` maps the endpoints'
+/// per-packet payload to the message size.
 template <typename SizeFn>
 std::uint64_t measured_allocs(int shards, int threads, Pattern pattern,
                               SizeFn size_of) {
@@ -91,8 +103,21 @@ std::uint64_t measured_allocs(int shards, int threads, Pattern pattern,
   const Bytes payload = pattern_bytes(11, size);
   Wave wave{cl, eps, got, pattern, threads};
 
-  // Warm every pool and spawn the persistent worker threads.
-  wave.run(payload);
+  // Warm every pool and spawn the persistent worker threads. A one-shard
+  // cluster's buffer pool grows on demand, and the first wave is not yet
+  // the steady state: it starts with empty host rings but ends with one
+  // credit-return packet per node still unconsumed, so the next wave
+  // starts with those held and needs a few more blocks.
+  int waves = 0;
+  std::uint64_t before = 0;
+  do {
+    before = pool_blocks(cl);
+    wave.run(payload);
+  } while (pool_blocks(cl) != before && ++waves < kMaxWarmupWaves);
+  EXPECT_EQ(pool_blocks(cl), before)
+      << size << " B messages on " << shards
+      << " shards: the buffer pool still grew in warm-up wave "
+      << kMaxWarmupWaves;
 
   bench::alloc_hook_reset();
   wave.run(payload);
@@ -105,6 +130,49 @@ TEST(ParallelAlloc, SteadyStateAllocationFreeAt4Threads) {
             0u)
       << "sharded steady state allocated: a per-event/per-quantum/per-park "
          "allocation crept back into the parallel hot path";
+}
+
+// Returning a block parks it on an intrusive free list, so the only heap
+// allocations a pool makes are its misses: after N, then 2N blocks
+// acquired and released per class, operator new ran once per fresh block.
+TEST(ParallelAlloc, ReturningABlockNeverAllocates) {
+  constexpr int kN = 100;
+  constexpr std::size_t kSizes[] = {64, 512, 4096};
+  BufferPool pool;
+  std::vector<BufferRef> held;
+  held.reserve(2 * kN);
+  bench::alloc_hook_reset();
+  for (const std::size_t size : kSizes) {
+    for (const int n : {kN, 2 * kN}) {
+      for (int i = 0; i < n; ++i) held.push_back(pool.acquire_ref(size));
+      held.clear();
+    }
+  }
+  const std::uint64_t allocs = bench::alloc_hook_count();
+  EXPECT_EQ(pool.stats().fresh_allocs, std::size(kSizes) * 2 * kN);
+  EXPECT_EQ(allocs, pool.stats().fresh_allocs);
+  EXPECT_EQ(pool.stats().free_buffers, std::size(kSizes) * 2 * kN);
+}
+
+// A one-shard cluster's pool starts empty; a multi-shard cluster pre-warms
+// each shard's pool with 128 x (hosts + 1) blocks in every packet size
+// class, six classes (64 B .. 2 KiB) for the ppro preset's cross-shard slot.
+TEST(ParallelAlloc, OnlyMultiShardClustersPrewarmTheirPools) {
+  const net::ClusterParams p = net::ppro_fm2_cluster(kNodes);
+  net::ParallelCluster one(p, 1);
+  EXPECT_EQ(one.shard_fabric(0).pool().stats().fresh_allocs, 0u);
+  EXPECT_EQ(one.shard_fabric(0).pool().stats().free_buffers, 0u);
+
+  net::ParallelCluster two(p, 2);
+  for (int s = 0; s < two.n_shards(); ++s) {
+    std::uint64_t hosts = 0;
+    for (int i = 0; i < kNodes; ++i) hosts += two.shard_of(i) == s ? 1 : 0;
+    const std::uint64_t warm = 6 * 128 * (hosts + 1);
+    const BufferPool::Stats& st = two.shard_fabric(s).pool().stats();
+    EXPECT_EQ(st.fresh_allocs, warm) << "shard " << s;
+    EXPECT_EQ(st.free_buffers, warm) << "shard " << s;
+    EXPECT_EQ(st.outstanding, 0u) << "shard " << s;
+  }
 }
 
 // Message size as a multiple of the FM 2.x per-packet payload ("MTU": the
